@@ -345,6 +345,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

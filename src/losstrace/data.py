@@ -104,57 +104,67 @@ def load_csv(path: str) -> MultivariateSeries:
     """Read a series from CSV: header of channel names, optional trailing
     'label' column of 0/1, one row per timestep.
 
-    Parse failures name the offending data row (1-based) and column.
+    Parse failures name the offending data row (1-based) and column. A path
+    that cannot be opened or read raises ConfigError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        has_labels = bool(header) and header[-1] == LABEL_COLUMN
-        names = header[:-1] if has_labels else header
-        if not names:
-            raise ParseError(f"{path}: no data columns in header")
-        width = len(header)
-        values: list[list[float]] = []
-        labels: list[int] = []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != width:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _parse_csv(fh, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: not a readable CSV file: {exc}") from None
+
+
+def _parse_csv(fh, path: str) -> MultivariateSeries:
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    has_labels = bool(header) and header[-1] == LABEL_COLUMN
+    names = header[:-1] if has_labels else header
+    if not names:
+        raise ParseError(f"{path}: no data columns in header")
+    width = len(header)
+    values: list[list[float]] = []
+    labels: list[int] = []
+    for rownum, row in enumerate(reader, start=1):
+        if len(row) != width:
+            raise ParseError(
+                f"{path}: ragged row {rownum}: expected {width} cells, "
+                f"got {len(row)}"
+            )
+        parsed = []
+        for col, cell in zip(names, row):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise ParseError(
-                    f"{path}: ragged row {rownum}: expected {width} cells, "
-                    f"got {len(row)}"
+                    f"{path}: row {rownum}, column {col!r}: "
+                    f"cannot parse {cell!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: row {rownum}, column {col!r}: non-finite value"
                 )
-            parsed = []
-            for col, cell in zip(names, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {rownum}, column {col!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {rownum}, column {col!r}: non-finite value"
-                    )
-                parsed.append(value)
-            values.append(parsed)
-            if has_labels:
-                cell = row[-1]
-                try:
-                    lab = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {rownum}, column 'label': "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-                if lab not in (0.0, 1.0):
-                    raise ParseError(
-                        f"{path}: row {rownum}, column 'label': "
-                        f"expected 0 or 1, got {cell!r}"
-                    )
-                labels.append(int(lab))
+            parsed.append(value)
+        values.append(parsed)
+        if has_labels:
+            cell = row[-1]
+            try:
+                lab = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {rownum}, column 'label': "
+                    f"cannot parse {cell!r} as a number"
+                ) from None
+            if lab not in (0.0, 1.0):
+                raise ParseError(
+                    f"{path}: row {rownum}, column 'label': "
+                    f"expected 0 or 1, got {cell!r}"
+                )
+            labels.append(int(lab))
     if not values:
         raise ParseError(f"{path}: no data rows")
     return MultivariateSeries(

@@ -277,9 +277,16 @@ def run_sweep(
     plan = plan_cells(cfg)
     done: dict[CellCoord, ResultRow] = {}
     if raw_path is not None:
+        # a stored row names its cell by (model, method, seed); its ratio
+        # went through %g, so it may not equal the planned ratio
+        by_seed = {(kind, method, cell_seed(cfg, kind, method, ratio, rep)):
+                   (kind, method, ratio, rep)
+                   for kind, method, ratio, rep in plan}
         for row in read_results_if_exists(raw_path):
-            if row.ok:
-                done[_row_coord(cfg, row)] = row
+            coord = by_seed.get((row.model, row.method, row.seed))
+            if row.ok and coord is not None:
+                row.ratio = coord[2]
+                done[coord] = row
 
     pending = [c for c in plan if c not in done]
     rows: list[ResultRow] = [done[c] for c in plan if c in done]
@@ -302,15 +309,6 @@ def run_sweep(
     rows.sort(key=lambda r: (kind_order.get(r.model, 99),
                              method_order.get(r.method, 99), r.ratio, r.seed))
     return ExperimentResult(rows)
-
-
-def _row_coord(cfg: SweepConfig, row: ResultRow) -> CellCoord:
-    """Recover the (kind, method, ratio, rep) coordinates of a stored row
-    by matching its seed against the planned repetitions."""
-    for rep in range(cfg.repetitions):
-        if cell_seed(cfg, row.model, row.method, row.ratio, rep) == row.seed:
-            return (row.model, row.method, row.ratio, rep)
-    return (row.model, row.method, row.ratio, -1)
 
 
 def _fmt(value: float | int | None, spec: str = "r") -> str:

@@ -9,13 +9,14 @@ loss-trace filter consumes) and per-timestep anomaly scores.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .data import MultivariateSeries, Normalizer, WindowSet, make_windows
-from .errors import ConfigError, ShapeError, TrainingError
+from .errors import ConfigError, ParseError, ShapeError, TrainingError
 
 RECONSTRUCTION = "reconstruction"
 PREDICTION = "prediction"
@@ -173,10 +174,11 @@ def train_epoch(
             raise TrainingError(f"mask indices out of range 0..{len(windows) - 1}")
     rng = np.random.default_rng([config.seed, epoch])
     order = order[rng.permutation(order.size)]
+    grads = state.grads
     for start in range(0, order.size, config.batch_size):
         batch_idx = order[start : start + config.batch_size]
         x, y = _window_io(model, windows.data[batch_idx])
-        grads = nn.backward_batch(model.net, x, y)
+        nn.backward_batch(model.net, x, y, out=grads)
         nn.optimizer_step(model.net, grads, state)
 
 
@@ -198,11 +200,11 @@ def fit(
 
     With a validation set, stops once the mean validation loss has not
     improved for config.patience consecutive epochs and restores the best
-    parameters seen.
+    parameters seen into model.net.
     """
     best_val = np.inf
     best_epoch = -1
-    best_net = None
+    best_params = np.empty_like(model.net.flat)
     history: list[float] = []
     state = nn.init_optimizer(model.net, config.learning_rate)
     epochs_run = 0
@@ -216,11 +218,11 @@ def fit(
         if val < best_val:
             best_val = val
             best_epoch = epoch
-            best_net = model.net.copy()
+            np.copyto(best_params, model.net.flat)
         elif epoch - best_epoch >= config.patience:
             break
-    if best_net is not None:
-        model.net = best_net
+    if best_epoch >= 0:
+        np.copyto(model.net.flat, best_params)
     return FitResult(epochs_run, best_epoch, history)
 
 
@@ -293,8 +295,26 @@ def save_checkpoint(model: TsadModel, path: str,
 def load_checkpoint(
     path: str,
 ) -> tuple[TsadModel, Normalizer | None, list[str] | None]:
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
+    """Load a save_checkpoint file.
+
+    A path that cannot be opened or read raises ConfigError; a file that is
+    not a complete losstrace checkpoint raises ParseError or ConfigError.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ParseError(f"{path}: not a checkpoint archive")
+        with archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise ParseError(f"{path}: not a readable checkpoint archive (corrupt, "
+                         f"truncated, or not an .npz file)") from None
+    try:
+        meta = json.loads(str(arrays["meta"]))
+        if not isinstance(meta, dict):
+            raise ParseError(f"{path}: checkpoint metadata is not an object")
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ConfigError(f"{path}: not a losstrace checkpoint")
         if meta.get("version") != CHECKPOINT_VERSION:
@@ -302,14 +322,18 @@ def load_checkpoint(
                 f"{path}: unsupported checkpoint version {meta.get('version')}"
             )
         layers = [
-            nn.DenseLayer(archive[f"w{i}"], archive[f"b{i}"], act)
+            nn.DenseLayer(arrays[f"w{i}"], arrays[f"b{i}"], act)
             for i, act in enumerate(meta["activations"])
         ]
         norm = None
         if meta["has_normalizer"]:
-            norm = Normalizer(archive["norm_mean"], archive["norm_std"])
-    net = nn.DenseNet(layers, seed=meta["seed"])
-    model = TsadModel(
-        meta["kind"], net, meta["window"], meta["channels"], meta["horizon"]
-    )
-    return model, norm, meta["channel_names"]
+            norm = Normalizer(arrays["norm_mean"], arrays["norm_std"])
+        net = nn.DenseNet(layers, seed=meta["seed"])
+        model = TsadModel(
+            meta["kind"], net, meta["window"], meta["channels"], meta["horizon"]
+        )
+        return model, norm, meta["channel_names"]
+    except KeyError as exc:
+        raise ParseError(f"{path}: incomplete checkpoint, no {exc} entry") from None
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"{path}: malformed checkpoint: {exc}") from None

@@ -1,7 +1,12 @@
 """Minimal deterministic dense-network engine with per-sample MSE losses.
 
-Everything is float64 numpy. Networks are plain dataclass values: a list of
-(weights, bias, activation) layers. Gradients are exact reverse-mode
+Everything is float64 numpy. A network is a list of (weights, bias,
+activation) layers whose parameters live in one contiguous vector,
+``DenseNet.flat``, in the order W0, b0, W1, b1, ...: each layer's weights and
+bias are reshaped views into it. The optimizer keeps the gradient and the
+Adam moments in vectors of the same layout, so a training step writes its
+gradients into one preallocated buffer and updates every parameter with a
+handful of whole-vector operations. Gradients are exact reverse-mode
 derivatives of the per-sample mean-squared error, so they can be checked
 against central finite differences.
 """
@@ -25,13 +30,15 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Derivative of the activation at pre-activation z (a = act(z))."""
+def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray | None:
+    """Derivative of the activation at pre-activation z (a = act(z)); None
+    for the identity, whose derivative is 1 (multiplying by 1.0 is exact, so
+    skipping it changes no result)."""
     if name == "tanh":
         return 1.0 - a * a
     if name == "relu":
         return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
+    return None
 
 
 @dataclass
@@ -56,10 +63,21 @@ class DenseLayer:
             raise NumericError("non-finite layer parameters")
 
 
+Gradients = list[tuple[np.ndarray, np.ndarray]]
+
+
 @dataclass
 class DenseNet:
+    """A chain of dense layers that owns its layers' parameters.
+
+    Construction copies every layer's weights and bias into the flat vector
+    and rebinds them to views of it, so writing to ``flat`` or to a layer
+    array changes both.
+    """
+
     layers: list[DenseLayer]
     seed: int = 0
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -70,6 +88,11 @@ class DenseNet:
                     f"layer output size {prev.weights.shape[1]} does not chain "
                     f"into next input size {nxt.weights.shape[0]}"
                 )
+        self.flat = np.empty(sum(l.weights.size + l.bias.size for l in self.layers))
+        for layer, (w, b) in zip(self.layers, self.layer_views(self.flat)):
+            w[...] = layer.weights
+            b[...] = layer.bias
+            layer.weights, layer.bias = w, b
 
     @property
     def input_size(self) -> int:
@@ -79,8 +102,20 @@ class DenseNet:
     def output_size(self) -> int:
         return self.layers[-1].weights.shape[1]
 
+    def layer_views(self, vector: np.ndarray) -> Gradients:
+        """Per-layer (weights, bias) views into a vector laid out like flat."""
+        views: Gradients = []
+        start = 0
+        for layer in self.layers:
+            n_in, n_out = layer.weights.shape
+            stop = start + n_in * n_out
+            views.append((vector[start:stop].reshape(n_in, n_out),
+                          vector[stop:stop + n_out]))
+            start = stop + n_out
+        return views
+
     def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list [W0, b0, W1, b1, ...] (views, not copies)."""
+        """Parameter list [W0, b0, W1, b1, ...] (views, not copies)."""
         params: list[np.ndarray] = []
         for layer in self.layers:
             params.append(layer.weights)
@@ -88,13 +123,18 @@ class DenseNet:
         return params
 
     def copy(self) -> "DenseNet":
+        """An independent network; construction packs a new flat vector."""
         return DenseNet(
-            [
-                DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
-                for l in self.layers
-            ],
+            [DenseLayer(l.weights, l.bias, l.activation) for l in self.layers],
             seed=self.seed,
         )
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle and copy.deepcopy copy flat and every layer array apart;
+        # make the layers views of the copied flat vector again
+        self.__dict__.update(state)
+        for layer, (w, b) in zip(self.layers, self.layer_views(self.flat)):
+            layer.weights, layer.bias = w, b
 
 
 def init_network(
@@ -182,27 +222,28 @@ def mse_per_sample(prediction: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-Gradients = list[tuple[np.ndarray, np.ndarray]]
+def _backprop(
+    net: DenseNet, x: np.ndarray, targets: np.ndarray, grads: Gradients
+) -> None:
+    """Backprop of the batch-mean per-sample MSE, written into grads.
 
-
-def _backward_from_cache(
-    net: DenseNet,
-    zs: list[np.ndarray],
-    acts: list[np.ndarray],
-    targets: np.ndarray,
-) -> Gradients:
-    """Backprop of the batch-mean per-sample MSE through cached activations."""
-    batch = acts[0].shape[0]
-    k = targets.shape[1]
-    delta = 2.0 * (acts[-1] - targets) / (k * batch)
-    grads: Gradients = [None] * len(net.layers)  # type: ignore[list-item]
+    The one backprop routine: every public gradient function calls it.
+    """
+    zs, acts = _forward_cached(net, x)
+    batch, k = targets.shape
+    delta = acts[-1] - targets
+    delta *= 2.0
+    delta /= k * batch
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        delta = delta * _act_grad(layer.activation, zs[i], acts[i + 1])
-        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+        slope = _act_grad(layer.activation, zs[i], acts[i + 1])
+        if slope is not None:
+            delta *= slope
+        gw, gb = grads[i]
+        np.matmul(acts[i].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
         if i > 0:
             delta = delta @ layer.weights.T
-    return grads
 
 
 def backward(net: DenseNet, x: np.ndarray, target: np.ndarray) -> Gradients:
@@ -221,8 +262,18 @@ def backward(net: DenseNet, x: np.ndarray, target: np.ndarray) -> Gradients:
     return backward_batch(net, x[None, :], target[None, :])
 
 
-def backward_batch(net: DenseNet, x: np.ndarray, targets: np.ndarray) -> Gradients:
-    """Gradients of the mean over the batch of per-sample MSE losses."""
+def backward_batch(
+    net: DenseNet,
+    x: np.ndarray,
+    targets: np.ndarray,
+    out: Gradients | None = None,
+) -> Gradients:
+    """Gradients of the mean over the batch of per-sample MSE losses.
+
+    Returns one (weight_grad, bias_grad) pair per layer in fresh arrays or,
+    when out is given (pairs shaped like the parameters, such as
+    OptimizerState.grads), writes them into out and returns it.
+    """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or targets.ndim != 2 or x.shape[0] != targets.shape[0]:
@@ -232,57 +283,91 @@ def backward_batch(net: DenseNet, x: np.ndarray, targets: np.ndarray) -> Gradien
             f"batch shapes {x.shape}/{targets.shape} do not match network "
             f"{net.input_size}->{net.output_size}"
         )
-    zs, acts = _forward_cached(net, x)
-    return _backward_from_cache(net, zs, acts, targets)
+    if out is None:
+        out = net.layer_views(np.empty_like(net.flat))
+    else:
+        _check_mirrors(net, out)
+    _backprop(net, x, targets, out)
+    return out
+
+
+def _check_mirrors(net: DenseNet, grads: Gradients) -> None:
+    if len(grads) != len(net.layers):
+        raise ShapeError("gradient shapes do not mirror network parameters")
+    for (gw, gb), layer in zip(grads, net.layers):
+        if gw.shape != layer.weights.shape or gb.shape != layer.bias.shape:
+            raise ShapeError("gradient shapes do not mirror network parameters")
 
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment (Adam) optimizer state for one network."""
+    """Adaptive-moment (Adam) optimizer state for one network.
+
+    m, v and the gradient buffer grad are vectors in the layout of the
+    network's flat parameters; grads holds per-layer views into grad.
+    """
 
     learning_rate: float
+    m: np.ndarray
+    v: np.ndarray
+    grad: np.ndarray
+    grads: Gradients
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        self.scratch = np.empty((2, self.m.size))
 
 
 def init_optimizer(net: DenseNet, learning_rate: float = 1e-3) -> OptimizerState:
-    params = net.parameters()
-    state = OptimizerState(learning_rate=learning_rate)
-    state.m = [np.zeros_like(p) for p in params]
-    state.v = [np.zeros_like(p) for p in params]
-    return state
+    grad = np.zeros_like(net.flat)
+    return OptimizerState(learning_rate, np.zeros_like(net.flat),
+                          np.zeros_like(net.flat), grad, net.layer_views(grad))
 
 
 def optimizer_step(net: DenseNet, grads: Gradients, state: OptimizerState) -> None:
-    """Apply one Adam update in place and advance the step counter."""
-    flat: list[np.ndarray] = []
-    for gw, gb in grads:
-        flat.append(np.asarray(gw, dtype=np.float64))
-        flat.append(np.asarray(gb, dtype=np.float64))
-    params = net.parameters()
-    if len(flat) != len(params) or any(
-        g.shape != p.shape for g, p in zip(flat, params)
-    ):
-        raise ShapeError("gradient shapes do not mirror network parameters")
-    for g in flat:
-        if not np.isfinite(g).all():
-            raise NumericError("non-finite gradient")
+    """Apply one Adam update in place and advance the step counter.
+
+    grads is either state.grads, filled by backward_batch(..., out=state.grads)
+    as train_epoch does, or any per-layer gradients, which are shape-checked
+    and copied into state.grads first. The update runs on whole flat vectors;
+    per element it applies, in this order, m = b1*m + (1-b1)*g,
+    v = b2*v + ((1-b2)*g)*g and p -= (lr * (m / (1-b1^t))) /
+    (sqrt(v / (1-b2^t)) + eps).
+    """
+    if state.m.shape != net.flat.shape:
+        raise ShapeError("optimizer state does not match the network")
+    if grads is not state.grads:
+        arrays = [(np.asarray(gw, dtype=np.float64), np.asarray(gb, dtype=np.float64))
+                  for gw, gb in grads]
+        _check_mirrors(net, arrays)
+        for (dw, db), (gw, gb) in zip(state.grads, arrays):
+            np.copyto(dw, gw)
+            np.copyto(db, gb)
+    g = state.grad
+    if not np.isfinite(g).all():
+        raise NumericError("non-finite gradient")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, flat, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    a, b = state.scratch
+    np.multiply(g, 1.0 - b1, out=a)
+    m *= b1
+    m += a
+    np.multiply(g, 1.0 - b2, out=a)
+    a *= g
+    v *= b2
+    v += a
+    np.divide(m, 1.0 - b1**t, out=a)
+    a *= state.learning_rate
+    np.divide(v, 1.0 - b2**t, out=b)
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    net.flat -= a

@@ -141,6 +141,64 @@ class TestTrainEvaluate:
         assert "channels" in capsys.readouterr().err
 
 
+class TestFailuresExitOne:
+    """Bad input paths and files end in exit code 1 and one error line."""
+
+    @pytest.fixture()
+    def checkpoint(self, dataset_dir, tmp_path):
+        ckpt = tmp_path / "model.npz"
+        assert run_cli(
+            "train", "--train-csv", str(dataset_dir / "train.csv"),
+            "--window", "6", "--stride", "6", "--hidden", "4",
+            "--method", "vanilla", "--epochs", "1", "--seed", "5",
+            "--checkpoint", str(ckpt),
+        ) == 0
+        return ckpt
+
+    @staticmethod
+    def assert_failed(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_missing_train_csv(self, tmp_path, capsys):
+        code = run_cli("train", "--train-csv", str(tmp_path / "missing.csv"),
+                       "--seed", "1", "--checkpoint", str(tmp_path / "m.npz"))
+        self.assert_failed(code, capsys)
+
+    def test_unwritable_checkpoint_path(self, dataset_dir, tmp_path, capsys):
+        code = run_cli("train", "--train-csv", str(dataset_dir / "train.csv"),
+                       "--window", "6", "--stride", "6", "--hidden", "4",
+                       "--method", "vanilla", "--epochs", "1", "--seed", "1",
+                       "--checkpoint", str(tmp_path / "no" / "m.npz"))
+        self.assert_failed(code, capsys)
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "no_w1", "empty"])
+    def test_corrupt_checkpoint(self, damage, checkpoint, dataset_dir, capsys):
+        raw = checkpoint.read_bytes()
+        if damage == "garbage":
+            checkpoint.write_bytes(b"not a checkpoint")
+        elif damage == "truncated":
+            checkpoint.write_bytes(raw[: len(raw) // 2])
+        elif damage == "empty":
+            checkpoint.write_bytes(b"")
+        else:
+            with np.load(checkpoint) as archive:
+                arrays = {k: archive[k] for k in archive.files if k != "w1"}
+            with open(checkpoint, "wb") as fh:
+                np.savez(fh, **arrays)
+        capsys.readouterr()
+        code = run_cli("evaluate", "--test-csv", str(dataset_dir / "test.csv"),
+                       "--checkpoint", str(checkpoint))
+        self.assert_failed(code, capsys)
+
+    def test_missing_test_csv(self, checkpoint, tmp_path, capsys):
+        capsys.readouterr()
+        code = run_cli("evaluate", "--test-csv", str(tmp_path / "none.csv"),
+                       "--checkpoint", str(checkpoint))
+        self.assert_failed(code, capsys)
+
+
 class TestSweepCommand:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = sweep_config(tmp_path)

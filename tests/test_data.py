@@ -38,6 +38,18 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 5"):
             data.load_csv(str(p))
 
+    def test_unreadable_path_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            data.load_csv(str(tmp_path / "missing.csv"))
+        with pytest.raises(ConfigError, match="cannot read"):
+            data.load_csv(str(tmp_path))  # a directory
+
+    def test_binary_file_is_parse_error(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"a,b\n\xff\xfe,1\n")
+        with pytest.raises(ParseError):
+            data.load_csv(str(p))
+
     def test_ragged_row(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("a,b\n1,2\n3\n")

@@ -204,6 +204,28 @@ class TestSweep:
         experiment.write_results(resumed, str(path))
         assert path.read_bytes() == full
 
+    def test_resume_matches_rows_whose_ratio_text_is_rounded(self, tmp_path,
+                                                               monkeypatch):
+        # results.csv stores ratios with %g: 0.123456789 is written 0.123457
+        cfg = tiny_config(ratios=(0.123456789,), methods=("vanilla",))
+        path = tmp_path / "results.csv"
+        result = experiment.run_sweep(cfg)
+        experiment.write_results(result, str(path))
+        experiment.write_summary(result, str(tmp_path / "a.csv"))
+        full = path.read_bytes()
+        assert b",0.123457," in full
+
+        def never(*args, **kwargs):
+            raise AssertionError("a completed cell was recomputed")
+
+        monkeypatch.setattr(experiment, "run_cell", never)
+        resumed = experiment.run_sweep(cfg, raw_path=str(path))
+        assert [r.ratio for r in resumed.rows] == [0.123456789] * 2
+        experiment.write_results(resumed, str(path))
+        experiment.write_summary(resumed, str(tmp_path / "b.csv"))
+        assert path.read_bytes() == full
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
     def test_failed_cells_keep_na_and_sweep_continues(self, tmp_path, monkeypatch):
         cfg = tiny_config()
         path = tmp_path / "results.csv"

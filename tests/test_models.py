@@ -1,11 +1,13 @@
 """Reconstruction/prediction model tests: losses, training semantics,
 scoring, checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
 from losstrace import data, models, nn
-from losstrace.errors import ConfigError, ShapeError, TrainingError
+from losstrace.errors import ConfigError, ParseError, ShapeError, TrainingError
 
 
 def toy_series(t=200, d=2, seed=0, labels=None):
@@ -282,6 +284,34 @@ class TestCheckpoint:
         a = models.anomaly_scores(m, series)
         b = models.anomaly_scores(loaded, series)
         assert a.tobytes() == b.tobytes()
+
+    def test_unreadable_or_incomplete_files(self, tmp_path):
+        m = models.build_model("reconstruction", 5, 2, hidden_sizes=(4,), seed=21)
+        good = tmp_path / "good.npz"
+        models.save_checkpoint(m, str(good))
+        with np.load(good) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = json.loads(str(arrays["meta"]))
+        del meta["activations"]
+        broken = [tmp_path / n for n in ("truncated", "garbage", "empty",
+                                         "plain.npy", "no_b1", "no_meta",
+                                         "no_activations")]
+        broken[0].write_bytes(good.read_bytes()[:200])
+        broken[1].write_bytes(b"not a checkpoint")
+        broken[2].write_bytes(b"")
+        np.save(broken[3], np.zeros(3))
+        for path, entries in zip(broken[4:], (
+            {k: v for k, v in arrays.items() if k != "b1"},
+            {k: v for k, v in arrays.items() if k != "meta"},
+            dict(arrays, meta=np.array(json.dumps(meta))),
+        )):
+            with open(path, "wb") as fh:
+                np.savez(fh, **entries)
+        for path in broken:
+            with pytest.raises(ParseError):
+                models.load_checkpoint(str(path))
+        with pytest.raises(ConfigError, match="cannot read"):
+            models.load_checkpoint(str(tmp_path / "missing.npz"))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.npz"

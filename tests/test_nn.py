@@ -1,12 +1,16 @@
 """Engine tests: initialization, forward/backward against independent
-oracles, optimizer behavior."""
+oracles, optimizer behavior, and the flat parameter layout against a
+per-layer reference engine."""
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from losstrace import nn
+from losstrace import data, models, nn
 from losstrace.errors import ConfigError, NumericError, ShapeError
 
 
@@ -286,3 +290,224 @@ class TestOptimizer:
             state = nn.init_optimizer(net, learning_rate=1e-6)
             nn.optimizer_step(net, nn.backward_batch(net, xs, ts), state)
             assert batch_loss() <= before + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Per-layer reference engine: backprop and Adam on separate per-layer arrays,
+# one numpy expression per step of the update. The flat engine must match it
+# bit for bit.
+
+
+def ref_layers(net):
+    return [[l.weights.copy(), l.bias.copy(), l.activation] for l in net.layers]
+
+
+def ref_forward_cached(layers, x):
+    acts, zs = [x], []
+    for w, b, act in layers:
+        z = acts[-1] @ w + b
+        zs.append(z)
+        acts.append(nn._act(act, z))
+    return zs, acts
+
+
+def ref_backward_batch(layers, x, targets):
+    zs, acts = ref_forward_cached(layers, x)
+    batch, k = targets.shape
+    delta = 2.0 * (acts[-1] - targets) / (k * batch)
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        w, _, act = layers[i]
+        if act == "tanh":
+            slope = 1.0 - acts[i + 1] * acts[i + 1]
+        elif act == "relu":
+            slope = (zs[i] > 0.0).astype(np.float64)
+        else:
+            slope = np.ones_like(zs[i])
+        delta = delta * slope
+        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+        if i > 0:
+            delta = delta @ w.T
+    return grads
+
+
+class RefAdam:
+    def __init__(self, layers, learning_rate):
+        self.lr, self.b1, self.b2, self.eps, self.t = learning_rate, 0.9, 0.999, 1e-8, 0
+        self.m = [np.zeros_like(a) for w, b, _ in layers for a in (w, b)]
+        self.v = [np.zeros_like(a) for w, b, _ in layers for a in (w, b)]
+
+    def step(self, layers, grads):
+        self.t += 1
+        b1, b2, t = self.b1, self.b2, self.t
+        params = [a for w, b, _ in layers for a in (w, b)]
+        flat = [g for pair in grads for g in pair]
+        for p, g, m, v in zip(params, flat, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def assert_same_parameters(net, layers):
+    for layer, (w, b, _) in zip(net.layers, layers):
+        assert layer.weights.tobytes() == w.tobytes()
+        assert layer.bias.tobytes() == b.tobytes()
+
+
+# depths 2-4, every activation in some hidden and some output position
+ORACLE_ACTIVATIONS = [
+    ["tanh", "identity"],
+    ["relu", "tanh"],
+    ["identity", "relu"],
+    ["tanh", "relu", "identity"],
+    ["relu", "identity", "tanh"],
+    ["tanh", "tanh", "relu", "identity"],
+]
+
+
+class TestFlatEngineMatchesReference:
+    @pytest.mark.parametrize("case", range(len(ORACLE_ACTIVATIONS)))
+    def test_minibatch_steps_bit_identical(self, case):
+        activations = ORACLE_ACTIVATIONS[case]
+        rng = np.random.default_rng(case)
+        sizes = [int(rng.integers(2, 9)) for _ in range(len(activations) + 1)]
+        n, batch = 53, 8  # the last batch of each pass holds 5 samples
+        xs = rng.normal(size=(n, sizes[0]))
+        ts = rng.normal(size=(n, sizes[-1]))
+        in_buffer = nn.init_network(sizes, activations, seed=int(rng.integers(1000)))
+        fresh = in_buffer.copy()
+        layers = ref_layers(in_buffer)
+        state_in, state_fresh = nn.init_optimizer(in_buffer, 1e-2), nn.init_optimizer(fresh, 1e-2)
+        ref = RefAdam(layers, 1e-2)
+        steps = 0
+        while steps < 56:
+            for start in range(0, n, batch):
+                x, t = xs[start:start + batch], ts[start:start + batch]
+                ref.step(layers, ref_backward_batch(layers, x, t))
+                nn.backward_batch(in_buffer, x, t, out=state_in.grads)
+                nn.optimizer_step(in_buffer, state_in.grads, state_in)
+                nn.optimizer_step(fresh, nn.backward_batch(fresh, x, t), state_fresh)
+                steps += 1
+        assert_same_parameters(in_buffer, layers)
+        assert_same_parameters(fresh, layers)
+        assert state_in.step == state_fresh.step == steps
+
+    def test_fit_with_early_stopping_bit_identical(self):
+        rng = np.random.default_rng(4)
+        values = np.sin(np.arange(170) / 4.0)[:, None] + 0.6 * rng.normal(size=(170, 1))
+        ws = data.make_windows(data.MultivariateSeries(values), 6, 1)
+        train_ws, val_ws = data.split_train_val(ws, seed=4)
+        model = models.build_model("reconstruction", 6, 1, hidden_sizes=(4,), seed=3)
+        cfg = models.TrainConfig(epochs=60, batch_size=16, learning_rate=2e-2,
+                                 patience=3, seed=2)
+        layers = ref_layers(model.net)
+        ref = RefAdam(layers, cfg.learning_rate)
+
+        def ref_val_loss():
+            flat = val_ws.data.reshape(len(val_ws), -1)
+            diff = ref_forward_cached(layers, flat)[1][-1] - flat
+            return float(np.mean(np.mean(diff * diff, axis=1)))
+
+        best_val, best_epoch, best, history = np.inf, -1, None, []
+        for epoch in range(cfg.epochs):
+            order = np.arange(len(train_ws), dtype=np.int64)
+            order = order[np.random.default_rng([cfg.seed, epoch]).permutation(order.size)]
+            for start in range(0, order.size, cfg.batch_size):
+                x = train_ws.data[order[start:start + cfg.batch_size]]
+                x = x.reshape(x.shape[0], -1)
+                ref.step(layers, ref_backward_batch(layers, x, x))
+            history.append(ref_val_loss())
+            if history[-1] < best_val:
+                best_val, best_epoch = history[-1], epoch
+                best = [[w.copy(), b.copy(), act] for w, b, act in layers]
+            elif epoch - best_epoch >= cfg.patience:
+                break
+
+        result = models.fit(model, train_ws, cfg, val_windows=val_ws)
+        assert result.epochs_run == len(history) < cfg.epochs  # stopped early
+        assert result.best_epoch == best_epoch < result.epochs_run - 1
+        assert result.val_history == history
+        assert_same_parameters(model.net, best)
+
+
+class TestFlatLayout:
+    def test_layers_are_views_of_flat(self):
+        net = nn.init_network([5, 3, 4], seed=2)
+        assert net.flat.shape == (5 * 3 + 3 + 3 * 4 + 4,)
+        packed = np.concatenate([p.ravel() for p in net.parameters()])
+        assert packed.tobytes() == net.flat.tobytes()
+        for p in net.parameters():
+            assert p.flags.c_contiguous and np.shares_memory(p, net.flat)
+
+    def test_copy_shares_no_storage(self):
+        net = nn.init_network([4, 3, 4], seed=5)
+        clone = net.copy()
+        assert clone.flat.tobytes() == net.flat.tobytes()
+        assert not np.shares_memory(clone.flat, net.flat)
+        for p, q in zip(clone.parameters(), net.parameters()):
+            assert not np.shares_memory(p, q)
+        before = net.flat.copy()
+        clone.layers[0].weights += 1.0
+        assert net.flat.tobytes() == before.tobytes()
+
+    def test_pickled_and_deep_copied_nets_keep_the_layout(self):
+        net = nn.init_network([4, 3, 4], seed=6)
+        for clone in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+            assert clone.flat.tobytes() == net.flat.tobytes()
+            assert clone.seed == net.seed
+            for p in clone.parameters():
+                assert np.shares_memory(p, clone.flat)
+            assert not np.shares_memory(clone.flat, net.flat)
+
+    def test_views_track_flat_after_step(self):
+        rng = np.random.default_rng(1)
+        net = nn.init_network([4, 3, 2], seed=1)
+        state = nn.init_optimizer(net, 1e-2)
+        x, t = rng.normal(size=(6, 4)), rng.normal(size=(6, 2))
+        before = net.flat.copy()
+        nn.optimizer_step(net, nn.backward_batch(net, x, t), state)
+        assert net.flat.tobytes() != before.tobytes()
+        packed = np.concatenate([p.ravel() for p in net.parameters()])
+        assert packed.tobytes() == net.flat.tobytes()
+
+    def test_backward_batch_results_are_not_overwritten(self):
+        rng = np.random.default_rng(3)
+        net = nn.init_network([3, 4, 2], seed=3)
+        first = nn.backward_batch(net, rng.normal(size=(5, 3)), rng.normal(size=(5, 2)))
+        kept = [g.copy() for pair in first for g in pair]
+        second = nn.backward_batch(net, rng.normal(size=(5, 3)), rng.normal(size=(5, 2)))
+        for g, k in zip((g for pair in first for g in pair), kept):
+            assert g.tobytes() == k.tobytes()
+        for g in (g for pair in first for g in pair):
+            for h in (h for pair in second for h in pair):
+                assert not np.shares_memory(g, h)
+
+    def test_backward_batch_out_must_mirror_parameters(self):
+        net = nn.init_network([3, 2], seed=0)
+        other = nn.init_optimizer(nn.init_network([3, 4], seed=0))
+        with pytest.raises(ShapeError):
+            nn.backward_batch(net, np.ones((2, 3)), np.ones((2, 2)), out=other.grads)
+
+    def test_state_of_another_network_rejected(self):
+        net = nn.init_network([3, 2], seed=0)
+        other = nn.init_optimizer(nn.init_network([3, 4], seed=0))
+        with pytest.raises(ShapeError):
+            nn.optimizer_step(net, other.grads, other)
+
+    def test_checkpoint_round_trip_keeps_flat_layout(self, tmp_path):
+        rng = np.random.default_rng(8)
+        model = models.build_model("reconstruction", 4, 2, hidden_sizes=(3,), seed=8)
+        path = tmp_path / "model.npz"
+        models.save_checkpoint(model, str(path))
+        loaded, _, _ = models.load_checkpoint(str(path))
+        assert loaded.net.flat.tobytes() == model.net.flat.tobytes()
+        for p in loaded.net.parameters():
+            assert np.shares_memory(p, loaded.net.flat)
+        x = rng.normal(size=(7, 8))
+        for net in (model.net, loaded.net):
+            nn.optimizer_step(net, nn.backward_batch(net, x, x), nn.init_optimizer(net))
+        assert loaded.net.flat.tobytes() == model.net.flat.tobytes()
