@@ -50,7 +50,6 @@ from .models import (
     build_model,
     fit,
     load_checkpoint,
-    sample_loss,
     sample_losses,
     save_checkpoint,
     train_epoch,

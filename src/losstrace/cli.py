@@ -57,20 +57,20 @@ def _method_name(value: str) -> str:
     return name
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, "
-                                         f"got {text!r}") from None
+def _number_list(kind: type, what: str):
+    """argparse type for a comma-separated list of kind(...) values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(p) for p in text.split(",") if p)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, "
+                                             f"got {text!r}") from None
+
+    return parse
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(",") if p)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, "
-                                         f"got {text!r}") from None
+_int_list = _number_list(int, "integers")
+_float_list = _number_list(float, "numbers")
 
 
 def _str_list(text: str) -> tuple[str, ...]:
@@ -342,10 +342,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # an output path that cannot be written
+    except (ToolkitError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,11 +12,11 @@ missing cells are recomputed).
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,16 +32,10 @@ from .data import (
     load_csv,
     make_windows,
 )
-from .errors import ConfigError, MetricError, ToolkitError
-from .filtering import METHODS, VANILLA, RobustTrainConfig, robust_train
+from .errors import ConfigError, ParseError, ToolkitError
+from .filtering import METHODS, VANILLA, ModelFactory, RobustTrainConfig, robust_train
 from .metrics import auc_roc, best_f1, coverage
-from .models import (
-    MODEL_KINDS,
-    TrainConfig,
-    TsadModel,
-    anomaly_scores,
-    build_model,
-)
+from .models import MODEL_KINDS, TrainConfig, anomaly_scores, build_model
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -141,40 +135,27 @@ class DataBundle:
     test: MultivariateSeries
 
 
-_BUNDLE_CACHE: dict[str, DataBundle] = {}
-
-
-def _bundle_key(cfg: SweepConfig) -> str:
-    source = (
-        {"synthetic": vars(cfg.synthetic)} if cfg.synthetic is not None
-        else {"train_csv": cfg.train_csv, "test_csv": cfg.test_csv}
-    )
-    return json.dumps(
-        {"source": source, "window": cfg.window, "stride": cfg.train_stride},
-        default=str, sort_keys=True,
-    )
-
-
 def prepare_data(cfg: SweepConfig) -> DataBundle:
-    """Load or generate the dataset, normalize it, and cut windows."""
-    key = _bundle_key(cfg)
-    cached = _BUNDLE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Load or generate the dataset, normalize it, and cut windows.
+
+    Raises ConfigError for a test series without labels: no cell could be
+    evaluated on it.
+    """
     if cfg.synthetic is not None:
         train, test = generate_synthetic(cfg.synthetic)
     else:
         assert cfg.train_csv is not None and cfg.test_csv is not None
         train, test = load_csv(cfg.train_csv), load_csv(cfg.test_csv)
+        if test.labels is None:
+            raise ConfigError(f"{cfg.test_csv}: test series has no label "
+                              f"column; a sweep needs labels to evaluate")
     norm = fit_normalizer(train)
     train = apply_normalizer(norm, train)
     test = apply_normalizer(norm, test)
     train_windows = make_windows(train, cfg.window, cfg.train_stride)
     test_windows = make_windows(test, cfg.window, 1)
     pool = test_windows.subset(np.flatnonzero(test_windows.flags == 1))
-    bundle = DataBundle(train_windows, pool, test)
-    _BUNDLE_CACHE[key] = bundle
-    return bundle
+    return DataBundle(train_windows, pool, test)
 
 
 CellCoord = tuple[str, str, float, int]
@@ -202,15 +183,13 @@ def run_cell(
     method: str,
     ratio: float,
     rep: int,
-    data: DataBundle | None = None,
+    bundle: DataBundle,
 ) -> ResultRow:
-    """Run one sweep cell: contaminate, robust-train, score, evaluate."""
+    """Run one sweep cell on prepare_data's bundle: contaminate,
+    robust-train, score, evaluate."""
     seed = cell_seed(cfg, kind, method, ratio, rep)
     start = time.perf_counter()
     try:
-        bundle = data if data is not None else prepare_data(cfg)
-        if bundle.test.labels is None:
-            raise MetricError("test series has no labels; cannot evaluate")
         if ratio > 0:
             spec = ContaminationSpec(ratio, derive_seed(seed, "inject"),
                                      bundle.pool)
@@ -229,13 +208,8 @@ def run_cell(
             trial_epochs=cfg.trial_epochs,
             method=method,
         )
-        channels = bundle.test.channels
-
-        def factory(model_seed: int) -> TsadModel:
-            return build_model(kind, cfg.window, channels, cfg.horizon,
-                               tuple(cfg.hidden_sizes), model_seed)
-
-        model, report = robust_train(factory, train_ws, rc)
+        model, report = robust_train(_model_factory(cfg, kind, bundle),
+                                     train_ws, rc)
         scores = anomaly_scores(model, bundle.test, stride=1)
         auc = auc_roc(scores, bundle.test.labels)
         f1, _threshold = best_f1(scores, bundle.test.labels)
@@ -251,14 +225,35 @@ def run_cell(
         ) from exc
 
 
-def _run_cell_task(args: tuple[SweepConfig, str, str, float, int]) -> ResultRow:
-    cfg, kind, method, ratio, rep = args
+def _model_factory(cfg: SweepConfig, kind: str, bundle: DataBundle) -> ModelFactory:
+    """build_model for the sweep's architecture; call it with a seed."""
+    return partial(build_model, kind, cfg.window, bundle.test.channels,
+                   cfg.horizon, tuple(cfg.hidden_sizes))
+
+
+def _run_cell_task(task: tuple[SweepConfig, str, str, float, int],
+                   bundle: DataBundle) -> ResultRow:
+    cfg, kind, method, ratio, rep = task
     try:
-        return run_cell(cfg, kind, method, ratio, rep)
+        return run_cell(cfg, kind, method, ratio, rep, bundle)
     except ToolkitError as exc:
         return ResultRow(kind, method, float(ratio),
                          cell_seed(cfg, kind, method, ratio, rep),
                          None, None, None, None, None, error=str(exc))
+
+
+# a pool worker's copy of the sweep's bundle, set once by _init_worker
+_worker_bundle: DataBundle | None = None
+
+
+def _init_worker(bundle: DataBundle) -> None:
+    global _worker_bundle
+    _worker_bundle = bundle
+
+
+def _run_pooled_cell(task: tuple[SweepConfig, str, str, float, int]) -> ResultRow:
+    assert _worker_bundle is not None
+    return _run_cell_task(task, _worker_bundle)
 
 
 def run_sweep(
@@ -269,10 +264,13 @@ def run_sweep(
 ) -> ExperimentResult:
     """Execute all planned cells, reusing completed rows from raw_path.
 
-    Failed cells produce rows with NA metrics (and a logged error) instead
-    of aborting the sweep; they are retried on the next resume. Unless
-    record_timing is set, wall times are written as NA so repeated sweeps
-    with the same seed produce byte-identical files.
+    The dataset is prepared, and one model of each configured kind is built,
+    once before any cell runs, so dataset, label and architecture errors
+    raise instead of failing every cell. Failures specific to one cell
+    produce rows with NA metrics (and a logged error) instead of aborting
+    the sweep; they are retried on the next resume. Unless record_timing is
+    set, wall times are written as NA so repeated sweeps with the same seed
+    produce byte-identical files.
     """
     plan = plan_cells(cfg)
     done: dict[CellCoord, ResultRow] = {}
@@ -290,13 +288,17 @@ def run_sweep(
 
     pending = [c for c in plan if c not in done]
     rows: list[ResultRow] = [done[c] for c in plan if c in done]
-    if workers > 1 and len(pending) > 1:
+    if pending:
+        bundle = prepare_data(cfg)
+        for kind in cfg.model_kinds:  # an impossible architecture fails here
+            _model_factory(cfg, kind, bundle)(0)
         tasks = [(cfg, *coord) for coord in pending]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows.extend(pool.map(_run_cell_task, tasks))
-    else:
-        for coord in pending:
-            rows.append(_run_cell_task((cfg, *coord)))
+        if workers > 1 and len(pending) > 1:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                     initargs=(bundle,)) as pool:
+                rows.extend(pool.map(_run_pooled_cell, tasks))
+        else:
+            rows.extend(_run_cell_task(task, bundle) for task in tasks)
 
     for row in rows:
         if row.error:
@@ -338,37 +340,40 @@ def write_results(result: ExperimentResult, path: str) -> None:
 
 
 def read_results_if_exists(path: str) -> list[ResultRow]:
+    """Rows of a write_results file, or none if it does not exist.
+
+    A wrong header raises ConfigError. A file that is not UTF-8 CSV raises
+    ParseError naming the file; a data row that cannot be parsed (missing
+    or extra cells, a malformed number), one naming the file and the
+    1-based data row.
+    """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
     except FileNotFoundError:
         return []
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RAW_HEADER:
-            raise ConfigError(f"{path}: unexpected results header "
-                              f"{reader.fieldnames}")
-        rows = []
-        for rec in reader:
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: not a readable CSV file: {exc}") from None
+    header = lines[0] if lines else None
+    if header != RAW_HEADER:
+        raise ConfigError(f"{path}: unexpected results header {header}")
+    rows = []
+    for row_no, cells in enumerate(filter(None, lines[1:]), start=1):
+        try:
+            if len(cells) != len(RAW_HEADER):
+                raise ValueError(f"{len(cells)} cells, expected {len(RAW_HEADER)}")
+            model, method, ratio, seed, auc, f1, cov, discard, wall = cells
             rows.append(ResultRow(
-                model=rec["model"],
-                method=rec["method"],
-                ratio=float(rec["ratio"]),
-                seed=int(rec["seed"]),
-                auc=_parse(rec["auc"]),
-                best_f1=_parse(rec["best_f1"]),
-                coverage=_parse(rec["coverage"]),
-                discard_size=_parse_int(rec["discard_size"]),
-                wall_time_s=_parse(rec["wall_time_s"]),
+                model, method, float(ratio), int(seed), _parse(auc),
+                _parse(f1), _parse(cov), _parse(discard, int), _parse(wall),
             ))
+        except ValueError as exc:
+            raise ParseError(f"{path}: data row {row_no}: {exc}") from None
     return rows
 
 
-def _parse(cell: str) -> float | None:
-    return None if cell == NA else float(cell)
-
-
-def _parse_int(cell: str) -> int | None:
-    return None if cell == NA else int(cell)
+def _parse(cell: str, kind: type = float) -> float | int | None:
+    return None if cell == NA else kind(cell)
 
 
 @dataclass

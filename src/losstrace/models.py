@@ -123,26 +123,18 @@ def _window_io(model: TsadModel, batch: np.ndarray) -> tuple[np.ndarray, np.ndar
     return batch[:, :split, :].reshape(n, -1), batch[:, split:, :].reshape(n, -1)
 
 
-def sample_loss(model: TsadModel, window: np.ndarray) -> float:
-    """Per-sample loss of one w x d window (reconstruction or prediction MSE)."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (model.window, model.channels):
-        raise ShapeError(
-            f"window shape {window.shape} != "
-            f"({model.window}, {model.channels})"
-        )
-    x, y = _window_io(model, window[None, :, :])
-    return nn.mse_per_sample(nn.forward(model.net, x[0]), y[0])
-
-
-def sample_losses(model: TsadModel, windows: WindowSet | np.ndarray) -> np.ndarray:
-    """Vector of per-sample losses for every window (batched evaluation)."""
-    batch = windows.data if isinstance(windows, WindowSet) else np.asarray(windows)
+def _check_batch(model: TsadModel, batch: np.ndarray) -> None:
     if batch.ndim != 3 or batch.shape[1:] != (model.window, model.channels):
         raise ShapeError(
             f"window batch shape {batch.shape} != "
             f"(n, {model.window}, {model.channels})"
         )
+
+
+def sample_losses(model: TsadModel, windows: WindowSet | np.ndarray) -> np.ndarray:
+    """Vector of per-sample losses for every window (batched evaluation)."""
+    batch = windows.data if isinstance(windows, WindowSet) else np.asarray(windows)
+    _check_batch(model, batch)
     x, y = _window_io(model, batch)
     pred = nn.forward_batch(model.net, x)
     diff = pred - y
@@ -162,8 +154,11 @@ def train_epoch(
     Only windows listed in mask participate (None means all). The shuffle is
     a function of (config.seed, epoch) and of the mask size only, so training
     with mask M is parameter-identical to training on a dataset physically
-    reduced to M.
+    reduced to M. The windows and the optimizer state are checked against the
+    model once here; the steps themselves run unchecked.
     """
+    _check_batch(model, windows.data)
+    nn._check_mirrors(model.net, state.grads)
     if mask is None:
         order = np.arange(len(windows), dtype=np.int64)
     else:
@@ -174,12 +169,10 @@ def train_epoch(
             raise TrainingError(f"mask indices out of range 0..{len(windows) - 1}")
     rng = np.random.default_rng([config.seed, epoch])
     order = order[rng.permutation(order.size)]
-    grads = state.grads
     for start in range(0, order.size, config.batch_size):
         batch_idx = order[start : start + config.batch_size]
         x, y = _window_io(model, windows.data[batch_idx])
-        nn.backward_batch(model.net, x, y, out=grads)
-        nn.optimizer_step(model.net, grads, state)
+        nn.train_step(model.net, state, x, y)
 
 
 @dataclass
@@ -248,16 +241,11 @@ def anomaly_scores(
     windows = make_windows(series, w, stride)
     losses = sample_losses(model, windows)
     scores = np.full(series.length, -np.inf)
-    if stride == 1:
-        # sliding max over the w windows covering each timestep
-        n = losses.shape[0]
-        for shift in range(w):
-            lo, hi = shift, shift + n
-            np.maximum(scores[lo:hi], losses, out=scores[lo:hi])
-    else:
-        for j, origin in enumerate(windows.origins):
-            seg = scores[origin : origin + w]
-            np.maximum(seg, losses[j], out=seg)
+    # window j covers timesteps j*stride + shift for shift in 0..w-1
+    n = losses.shape[0]
+    for shift in range(w):
+        seg = scores[shift : shift + (n - 1) * stride + 1 : stride]
+        np.maximum(seg, losses, out=seg)
     covered = np.isfinite(scores)
     if not covered.all():
         scores[~covered] = losses.min()

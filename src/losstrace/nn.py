@@ -262,17 +262,10 @@ def backward(net: DenseNet, x: np.ndarray, target: np.ndarray) -> Gradients:
     return backward_batch(net, x[None, :], target[None, :])
 
 
-def backward_batch(
-    net: DenseNet,
-    x: np.ndarray,
-    targets: np.ndarray,
-    out: Gradients | None = None,
-) -> Gradients:
+def backward_batch(net: DenseNet, x: np.ndarray, targets: np.ndarray) -> Gradients:
     """Gradients of the mean over the batch of per-sample MSE losses.
 
-    Returns one (weight_grad, bias_grad) pair per layer in fresh arrays or,
-    when out is given (pairs shaped like the parameters, such as
-    OptimizerState.grads), writes them into out and returns it.
+    Returns one (weight_grad, bias_grad) pair per layer in fresh arrays.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -283,12 +276,9 @@ def backward_batch(
             f"batch shapes {x.shape}/{targets.shape} do not match network "
             f"{net.input_size}->{net.output_size}"
         )
-    if out is None:
-        out = net.layer_views(np.empty_like(net.flat))
-    else:
-        _check_mirrors(net, out)
-    _backprop(net, x, targets, out)
-    return out
+    grads = net.layer_views(np.empty_like(net.flat))
+    _backprop(net, x, targets, grads)
+    return grads
 
 
 def _check_mirrors(net: DenseNet, grads: Gradients) -> None:
@@ -331,24 +321,41 @@ def init_optimizer(net: DenseNet, learning_rate: float = 1e-3) -> OptimizerState
 
 
 def optimizer_step(net: DenseNet, grads: Gradients, state: OptimizerState) -> None:
-    """Apply one Adam update in place and advance the step counter.
+    """Apply one Adam update with the given per-layer gradients.
 
-    grads is either state.grads, filled by backward_batch(..., out=state.grads)
-    as train_epoch does, or any per-layer gradients, which are shape-checked
-    and copied into state.grads first. The update runs on whole flat vectors;
-    per element it applies, in this order, m = b1*m + (1-b1)*g,
-    v = b2*v + ((1-b2)*g)*g and p -= (lr * (m / (1-b1^t))) /
-    (sqrt(v / (1-b2^t)) + eps).
+    Checks that grads and the state's buffers mirror the network, copies
+    grads into state.grads and runs the Adam kernel that train_step runs.
     """
-    if state.m.shape != net.flat.shape:
-        raise ShapeError("optimizer state does not match the network")
-    if grads is not state.grads:
-        arrays = [(np.asarray(gw, dtype=np.float64), np.asarray(gb, dtype=np.float64))
-                  for gw, gb in grads]
-        _check_mirrors(net, arrays)
-        for (dw, db), (gw, gb) in zip(state.grads, arrays):
-            np.copyto(dw, gw)
-            np.copyto(db, gb)
+    arrays = [(np.asarray(gw, dtype=np.float64), np.asarray(gb, dtype=np.float64))
+              for gw, gb in grads]
+    _check_mirrors(net, arrays)
+    _check_mirrors(net, state.grads)
+    for (dw, db), (gw, gb) in zip(state.grads, arrays):
+        np.copyto(dw, gw)
+        np.copyto(db, gb)
+    _adam(net, state)
+
+
+def train_step(net: DenseNet, state: OptimizerState, x: np.ndarray,
+               y: np.ndarray) -> None:
+    """One minibatch Adam step on the batch-mean per-sample MSE of (x, y).
+
+    Backpropagates into state.grads and updates the parameters in place.
+    Nothing is converted or checked here: the caller guarantees float64
+    batches that fit the network and a state built for it (train_epoch
+    checks both once per epoch).
+    """
+    _backprop(net, x, y, state.grads)
+    _adam(net, state)
+
+
+def _adam(net: DenseNet, state: OptimizerState) -> None:
+    """The Adam kernel on whole flat vectors, from the gradient in state.grad.
+
+    Per element it applies, in this order, m = b1*m + (1-b1)*g,
+    v = b2*v + ((1-b2)*g)*g and p -= (lr * (m / (1-b1^t))) /
+    (sqrt(v / (1-b2^t)) + eps), then advances the step counter.
+    """
     g = state.grad
     if not np.isfinite(g).all():
         raise NumericError("non-finite gradient")

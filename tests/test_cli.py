@@ -199,6 +199,86 @@ class TestFailuresExitOne:
         self.assert_failed(code, capsys)
 
 
+class TestSweepFailsBeforeWriting:
+    """Dataset, label and architecture errors, and a damaged results.csv,
+    end a sweep in exit code 1 with one error line before any file is
+    written."""
+
+    @staticmethod
+    def assert_failed(code, capsys, *needles):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        for needle in needles:
+            assert needle in err
+
+    @staticmethod
+    def sweep(cfg, out):
+        return run_cli("sweep", "--config", str(cfg), "--seed", "7",
+                       "--out", str(out))
+
+    def assert_aborted(self, cfg, tmp_path, capsys, *needles):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        self.assert_failed(self.sweep(cfg, out), capsys, *needles)
+        assert not (out / "results.csv").exists()
+        assert not (out / "summary.csv").exists()
+
+    def test_missing_train_csv(self, dataset_dir, tmp_path, capsys):
+        cfg = sweep_config(tmp_path, dataset={
+            "train_csv": str(tmp_path / "missing.csv"),
+            "test_csv": str(dataset_dir / "test.csv"),
+        })
+        self.assert_aborted(cfg, tmp_path, capsys, "missing.csv")
+
+    def test_test_csv_without_label_column(self, dataset_dir, tmp_path, capsys):
+        unlabeled = tmp_path / "unlabeled.csv"
+        lines = (dataset_dir / "test.csv").read_text().splitlines()
+        assert lines[0].endswith(",label")
+        unlabeled.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                     for line in lines))
+        cfg = sweep_config(tmp_path, dataset={
+            "train_csv": str(dataset_dir / "train.csv"),
+            "test_csv": str(unlabeled),
+        })
+        self.assert_aborted(cfg, tmp_path, capsys, "unlabeled.csv", "label")
+
+    @pytest.mark.parametrize("extra", [
+        {"hidden_sizes": [32]},  # bottleneck 32 >= window 6 x 2 channels
+        {"model_kinds": ["prediction"], "horizon": 6},  # horizon >= window 6
+    ])
+    def test_impossible_architecture(self, extra, tmp_path, capsys):
+        self.assert_aborted(sweep_config(tmp_path, **extra), tmp_path, capsys)
+
+    @pytest.mark.parametrize("damage", ["truncated_row", "extra_cell",
+                                        "non_numeric_auc", "not_utf8"])
+    def test_damaged_results_csv(self, damage, tmp_path, capsys):
+        cfg = sweep_config(tmp_path, methods=["vanilla"], ratios=[0.0])
+        out = tmp_path / "out"
+        assert self.sweep(cfg, out) == 0
+        results = out / "results.csv"
+        lines = results.read_text().splitlines()
+        assert len(lines) == 3  # header and two repetitions
+        if damage == "truncated_row":
+            text = "\n".join(lines)[: -(len(lines[2]) // 2)]
+        elif damage == "not_utf8":
+            text = "\n".join(lines[:2]) + "\n\udcff\n"
+        else:
+            cells = lines[1].split(",")
+            if damage == "extra_cell":
+                cells.append("1")
+            else:
+                cells[4] = "not-a-number"
+            text = "\n".join([lines[0], ",".join(cells), lines[2]]) + "\n"
+        damaged = text.encode("utf-8", "surrogateescape")
+        results.write_bytes(damaged)
+        capsys.readouterr()
+        where = {"truncated_row": "row 2", "not_utf8": "not a readable CSV"}
+        self.assert_failed(self.sweep(cfg, out), capsys, str(results),
+                           where.get(damage, "row 1"))
+        assert results.read_bytes() == damaged
+
+
 class TestSweepCommand:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = sweep_config(tmp_path)

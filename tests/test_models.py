@@ -58,18 +58,34 @@ class TestBuildModel:
             models.build_model("density", 4, 2)
 
 
+def window_loss(model, window):
+    """Single-window reference loss, kept independent of sample_losses:
+    nn.forward and nn.mse_per_sample on the window's flattened input and
+    target."""
+    split = model.window - model.horizon
+    x = window[:split].reshape(-1)
+    y = window[split:].reshape(-1) if model.kind == models.PREDICTION else x
+    return nn.mse_per_sample(nn.forward(model.net, x), y)
+
+
+def one_window_loss(model, window):
+    return float(models.sample_losses(model, window[None, :, :])[0])
+
+
 class TestSampleLoss:
     def test_identity_model_zero_loss(self):
         m = identity_reconstruction_model(3, 2)
         rng = np.random.default_rng(1)
         for _ in range(5):
             window = rng.normal(size=(3, 2))
-            assert models.sample_loss(m, window) == 0.0
+            assert window_loss(m, window) == 0.0
+            assert one_window_loss(m, window) == 0.0
 
     def test_zero_net_zero_window(self):
         net = nn.DenseNet([nn.DenseLayer(np.zeros((4, 4)), np.zeros(4), "identity")])
         m = models.TsadModel(models.RECONSTRUCTION, net, 2, 2)
-        assert models.sample_loss(m, np.zeros((2, 2))) == 0.0
+        assert window_loss(m, np.zeros((2, 2))) == 0.0
+        assert one_window_loss(m, np.zeros((2, 2))) == 0.0
 
     def test_composes_forward_and_mse(self):
         rng = np.random.default_rng(2)
@@ -78,7 +94,8 @@ class TestSampleLoss:
             window = rng.normal(size=(4, 3))
             flat = window.reshape(-1)
             expected = nn.mse_per_sample(nn.forward(m.net, flat), flat)
-            assert abs(models.sample_loss(m, window) - expected) <= 1e-12
+            assert window_loss(m, window) == expected
+            assert abs(one_window_loss(m, window) - expected) <= 1e-12
 
     def test_prediction_loss_composition(self):
         rng = np.random.default_rng(4)
@@ -87,18 +104,19 @@ class TestSampleLoss:
         x = window[:4].reshape(-1)
         y = window[4:].reshape(-1)
         expected = nn.mse_per_sample(nn.forward(m.net, x), y)
-        assert abs(models.sample_loss(m, window) - expected) <= 1e-12
+        assert window_loss(m, window) == expected
+        assert abs(one_window_loss(m, window) - expected) <= 1e-12
 
     def test_shape_error(self):
         m = identity_reconstruction_model(3, 2)
         with pytest.raises(ShapeError):
-            models.sample_loss(m, np.zeros((2, 2)))
+            one_window_loss(m, np.zeros((2, 2)))
 
     def test_batched_losses_match_loop(self):
         ws = toy_windows(n=30, w=4, d=2)
         m = models.build_model("reconstruction", 4, 2, hidden_sizes=(3,), seed=7)
         batched = models.sample_losses(m, ws)
-        looped = [models.sample_loss(m, ws.data[i]) for i in range(len(ws))]
+        looped = [window_loss(m, ws.data[i]) for i in range(len(ws))]
         assert np.allclose(batched, looped, atol=1e-12, rtol=1e-12)
 
 
@@ -117,6 +135,16 @@ class TestTrainEpoch:
         state = nn.init_optimizer(m.net)
         with pytest.raises(TrainingError):
             models.train_epoch(m, state, ws, models.TrainConfig(seed=1), 0, mask=[10])
+
+    @pytest.mark.parametrize("w,d", [(5, 2), (6, 3)])
+    def test_windows_of_wrong_shape_rejected(self, w, d):
+        m = models.build_model("reconstruction", 6, 2, hidden_sizes=(4,))
+        state = nn.init_optimizer(m.net)
+        before = m.net.flat.copy()
+        with pytest.raises(ShapeError):
+            models.train_epoch(m, state, toy_windows(n=10, w=w, d=d),
+                               models.TrainConfig(seed=1), 0)
+        assert m.net.flat.tobytes() == before.tobytes() and state.step == 0
 
     def test_masked_equals_physically_reduced(self):
         rng = np.random.default_rng(8)
@@ -227,10 +255,10 @@ class TestAnomalyScores:
         rng = np.random.default_rng(12)
         m = models.build_model("reconstruction", 5, 2, hidden_sizes=(4,), seed=6)
         series = data.MultivariateSeries(rng.normal(size=(48, 2)))
-        for stride in (1, 2, 3):
+        for stride in (1, 2, 3, 7):  # stride 7 > window 5 leaves gaps
             scores = models.anomaly_scores(m, series, stride=stride)
             ws = data.make_windows(series, 5, stride)
-            losses = [models.sample_loss(m, ws.data[i]) for i in range(len(ws))]
+            losses = [window_loss(m, ws.data[i]) for i in range(len(ws))]
             expected = np.full(48, np.nan)
             for j, origin in enumerate(ws.origins):
                 for t in range(origin, origin + 5):

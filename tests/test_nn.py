@@ -378,23 +378,22 @@ class TestFlatEngineMatchesReference:
         n, batch = 53, 8  # the last batch of each pass holds 5 samples
         xs = rng.normal(size=(n, sizes[0]))
         ts = rng.normal(size=(n, sizes[-1]))
-        in_buffer = nn.init_network(sizes, activations, seed=int(rng.integers(1000)))
-        fresh = in_buffer.copy()
-        layers = ref_layers(in_buffer)
-        state_in, state_fresh = nn.init_optimizer(in_buffer, 1e-2), nn.init_optimizer(fresh, 1e-2)
+        stepped = nn.init_network(sizes, activations, seed=int(rng.integers(1000)))
+        fresh = stepped.copy()
+        layers = ref_layers(stepped)
+        state_step, state_fresh = nn.init_optimizer(stepped, 1e-2), nn.init_optimizer(fresh, 1e-2)
         ref = RefAdam(layers, 1e-2)
         steps = 0
         while steps < 56:
             for start in range(0, n, batch):
                 x, t = xs[start:start + batch], ts[start:start + batch]
                 ref.step(layers, ref_backward_batch(layers, x, t))
-                nn.backward_batch(in_buffer, x, t, out=state_in.grads)
-                nn.optimizer_step(in_buffer, state_in.grads, state_in)
+                nn.train_step(stepped, state_step, x, t)
                 nn.optimizer_step(fresh, nn.backward_batch(fresh, x, t), state_fresh)
                 steps += 1
-        assert_same_parameters(in_buffer, layers)
+        assert_same_parameters(stepped, layers)
         assert_same_parameters(fresh, layers)
-        assert state_in.step == state_fresh.step == steps
+        assert state_step.step == state_fresh.step == steps
 
     def test_fit_with_early_stopping_bit_identical(self):
         rng = np.random.default_rng(4)
@@ -486,11 +485,16 @@ class TestFlatLayout:
             for h in (h for pair in second for h in pair):
                 assert not np.shares_memory(g, h)
 
-    def test_backward_batch_out_must_mirror_parameters(self):
-        net = nn.init_network([3, 2], seed=0)
-        other = nn.init_optimizer(nn.init_network([3, 4], seed=0))
+    def test_train_epoch_state_must_mirror_layers(self):
+        # [4, 3, 4] and [3, 4, 3] both hold 31 parameters in other layer shapes
+        model = models.build_model("reconstruction", 2, 2, hidden_sizes=(3,), seed=0)
+        other = nn.init_optimizer(nn.init_network([3, 4, 3], seed=0))
+        assert other.grad.size == model.net.flat.size == 31
+        windows = data.make_windows(
+            data.MultivariateSeries(np.random.default_rng(0).normal(size=(12, 2))), 2)
         with pytest.raises(ShapeError):
-            nn.backward_batch(net, np.ones((2, 3)), np.ones((2, 2)), out=other.grads)
+            models.train_epoch(model, other, windows, models.TrainConfig(seed=0), 0)
+        assert other.step == 0
 
     def test_state_of_another_network_rejected(self):
         net = nn.init_network([3, 2], seed=0)
