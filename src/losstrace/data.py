@@ -235,7 +235,7 @@ def make_windows(series: MultivariateSeries, window: int, stride: int = 1) -> Wi
         )
     origins = np.arange(0, series.length - window + 1, stride, dtype=np.int64)
     swv = np.lib.stride_tricks.sliding_window_view(series.values, window, axis=0)
-    data = np.ascontiguousarray(swv[origins].transpose(0, 2, 1))
+    data = np.ascontiguousarray(swv[::stride].transpose(0, 2, 1))  # one copy
     if series.labels is not None:
         lab_win = np.lib.stride_tricks.sliding_window_view(series.labels, window)
         flags = (lab_win[origins].max(axis=1) > 0).astype(np.int8)

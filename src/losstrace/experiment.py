@@ -11,12 +11,16 @@ missing cells are recomputed).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -138,17 +142,23 @@ class DataBundle:
 def prepare_data(cfg: SweepConfig) -> DataBundle:
     """Load or generate the dataset, normalize it, and cut windows.
 
-    Raises ConfigError for a test series without labels: no cell could be
-    evaluated on it.
+    Raises ConfigError for a test series without labels, or whose labels
+    are all 0 or all 1: no cell could be evaluated on it.
     """
     if cfg.synthetic is not None:
         train, test = generate_synthetic(cfg.synthetic)
+        source = "synthetic dataset"
     else:
         assert cfg.train_csv is not None and cfg.test_csv is not None
         train, test = load_csv(cfg.train_csv), load_csv(cfg.test_csv)
+        source = cfg.test_csv
         if test.labels is None:
             raise ConfigError(f"{cfg.test_csv}: test series has no label "
                               f"column; a sweep needs labels to evaluate")
+    classes = np.unique(test.labels).tolist()
+    if classes != [0, 1]:
+        raise ConfigError(f"{source}: test labels hold only {classes}; a sweep "
+                          f"needs both normal (0) and anomalous (1) timesteps")
     norm = fit_normalizer(train)
     train = apply_normalizer(norm, train)
     test = apply_normalizer(norm, test)
@@ -246,9 +256,28 @@ def _run_cell_task(task: tuple[SweepConfig, str, str, float, int],
 _worker_bundle: DataBundle | None = None
 
 
-def _init_worker(bundle: DataBundle) -> None:
+def _init_worker(bundle: DataBundle, workers: int) -> None:
+    """Keep the bundle and run only this worker's share of the cores as
+    BLAS threads; idle helper threads of several workers would contend."""
     global _worker_bundle
     _worker_bundle = bundle
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    _set_blas_threads(max(1, cores // workers))
+
+
+def _set_blas_threads(count: int) -> None:
+    """Set the thread count of the OpenBLAS bundled with numpy. Does
+    nothing if there is none: that costs speed, never a result."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn(ctypes.c_int(count))
+                return
 
 
 def _run_pooled_cell(task: tuple[SweepConfig, str, str, float, int]) -> ResultRow:
@@ -295,7 +324,7 @@ def run_sweep(
         tasks = [(cfg, *coord) for coord in pending]
         if workers > 1 and len(pending) > 1:
             with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                     initargs=(bundle,)) as pool:
+                                     initargs=(bundle, workers)) as pool:
                 rows.extend(pool.map(_run_pooled_cell, tasks))
         else:
             rows.extend(_run_cell_task(task, bundle) for task in tasks)
@@ -325,11 +354,26 @@ def _fmt(value: float | int | None, spec: str = "r") -> str:
     return repr(float(value))
 
 
+@contextlib.contextmanager
+def _replacing_csv(path: str):
+    """A csv writer on a temp file beside path that replaces path only once
+    the block completes; on any error path is untouched and the temp file
+    removed."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield csv.writer(fh, lineterminator="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_results(result: ExperimentResult, path: str) -> None:
     """Write the raw per-cell CSV (header: model,method,ratio,seed,auc,
-    best_f1,coverage,discard_size,wall_time_s)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    best_f1,coverage,discard_size,wall_time_s), atomically."""
+    with _replacing_csv(path) as writer:
         writer.writerow(RAW_HEADER)
         for r in result.rows:
             writer.writerow([
@@ -416,9 +460,8 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
 
 def write_summary(result: ExperimentResult, path: str) -> None:
     """Write mean/std aggregates (header: model,method,ratio,auc_mean,
-    auc_std,f1_mean,f1_std,coverage_mean,coverage_std)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    auc_std,f1_mean,f1_std,coverage_mean,coverage_std), atomically."""
+    with _replacing_csv(path) as writer:
         writer.writerow(SUMMARY_HEADER)
         for s in summarize(result):
             writer.writerow([

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Collection
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import MetricError, ShapeError
 
@@ -25,7 +24,21 @@ def _check_scored(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
         )
     if not np.isin(labels, (0, 1)).all():
         raise MetricError("labels must be 0 or 1")
+    if np.isnan(scores).any():
+        raise MetricError("scores must not be NaN")
     return scores, labels.astype(np.int8)
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of their ranks (the
+    tie rule of scipy.stats.rankdata, computed the same way)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.append(True, ordered[1:] != ordered[:-1])
+    dense = np.empty(values.size, dtype=np.intp)
+    dense[order] = np.cumsum(starts)
+    count = np.append(np.flatnonzero(starts), values.size)
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -36,7 +49,7 @@ def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC needs at least one positive and one negative label")
-    ranks = rankdata(scores)  # average ranks: exact tie handling
+    ranks = _average_ranks(scores)  # exact half-integers
     pos_rank_sum = ranks[labels == 1].sum()
     u = pos_rank_sum - n_pos * (n_pos + 1) / 2
     return float(u / (n_pos * n_neg))

@@ -136,9 +136,9 @@ def sample_losses(model: TsadModel, windows: WindowSet | np.ndarray) -> np.ndarr
     batch = windows.data if isinstance(windows, WindowSet) else np.asarray(windows)
     _check_batch(model, batch)
     x, y = _window_io(model, batch)
-    pred = nn.forward_batch(model.net, x)
-    diff = pred - y
-    return np.mean(diff * diff, axis=1)
+    diff = nn.forward_batch(model.net, x) - y
+    diff *= diff
+    return np.mean(diff, axis=1)
 
 
 def train_epoch(

@@ -180,7 +180,8 @@ def _forward_cached(
     acts = [x]
     zs = []
     for layer in net.layers:
-        z = acts[-1] @ layer.weights + layer.bias
+        z = acts[-1] @ layer.weights
+        z += layer.bias
         zs.append(z)
         acts.append(_act(layer.activation, z))
     return zs, acts

@@ -1,6 +1,11 @@
-"""End-to-end CLI behavior through cli_main (no subprocesses)."""
+"""End-to-end CLI behavior through cli_main; one subprocess checks what a
+fresh interpreter imports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +53,67 @@ def sweep_config(tmp_path, **extra):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_no_scipy_import(tmp_path):
+    script = (
+        "import sys\n"
+        "import losstrace\n"
+        "from losstrace.cli import cli_main\n"
+        f"assert cli_main(['generate', '--out', {str(tmp_path)!r}, "
+        "'--length', '200', '--periods', '20', '--seed', '1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+MALLINFO_SCRIPT = """
+import ctypes, sys
+import numpy as np
+from losstrace.cli import cli_main
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    print("no mallinfo2")
+    sys.exit()
+libc.mallinfo2.restype = MallInfo2
+if sys.argv[1] == "cli":
+    assert cli_main(["generate", "--out", sys.argv[2], "--length", "200",
+                     "--periods", "20", "--seed", "1"]) == 0
+freed = np.ones(1 << 20)  # 8 MiB, a mapped block
+del freed
+before = libc.mallinfo2().hblks
+kept = np.ones(1 << 18)  # 2 MiB
+print(libc.mallinfo2().hblks - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc only")
+def test_cli_maps_large_arrays_after_larger_frees(tmp_path):
+    """After an 8 MiB block is freed glibc serves 2 MiB from the heap, where
+    freed blocks stay resident; under cli_main it maps them still."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    mapped = {}
+    for mode in ("plain", "cli"):
+        done = subprocess.run(
+            [sys.executable, "-c", MALLINFO_SCRIPT, mode, str(tmp_path / mode)],
+            env=env, capture_output=True, text=True, check=True)
+        mapped[mode] = done.stdout.splitlines()[-1]
+    if mapped["plain"] == "no mallinfo2":
+        pytest.skip("the C library has no mallinfo2")
+    assert mapped == {"plain": "0", "cli": "1"}
 
 
 class TestGenerate:
@@ -242,6 +308,13 @@ class TestSweepFailsBeforeWriting:
             "test_csv": str(unlabeled),
         })
         self.assert_aborted(cfg, tmp_path, capsys, "unlabeled.csv", "label")
+
+    def test_one_class_test_labels(self, tmp_path, capsys):
+        cfg = sweep_config(tmp_path, dataset={"synthetic": {
+            "channels": 2, "length": 600, "periods": [30],
+            "anomaly_rate": 0.0, "seed": 0,
+        }})
+        self.assert_aborted(cfg, tmp_path, capsys, "test labels hold only [0]")
 
     @pytest.mark.parametrize("extra", [
         {"hidden_sizes": [32]},  # bottleneck 32 >= window 6 x 2 channels

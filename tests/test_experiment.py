@@ -1,5 +1,11 @@
 """Sweep runner: planning, per-cell determinism, CSV round trips,
-aggregation, resumability."""
+aggregation, resumability, pool workers."""
+
+import ctypes
+import dataclasses
+import os
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,14 +124,23 @@ class TestRunCell:
         assert both.coverage is not None
 
     def test_errors_carry_cell_identity(self):
+        cfg = tiny_config()
+        bundle = experiment.prepare_data(cfg)
+        bundle = dataclasses.replace(  # empty anomaly pool
+            bundle, pool=bundle.pool.subset(np.empty(0, np.int64)))
+        with pytest.raises(ConfigError, match="ratio=0.1"):
+            experiment.run_cell(cfg, "reconstruction", "combined", 0.1, 0, bundle)
+
+
+class TestPrepareData:
+    def test_one_class_test_labels_rejected(self):
         cfg = tiny_config(
             synthetic=SyntheticConfig(
                 channels=2, length=600, periods=(30,), anomaly_rate=0.0, seed=0,
             )
-        )  # clean test set: empty anomaly pool
-        bundle = experiment.prepare_data(cfg)
-        with pytest.raises(ConfigError, match="ratio=0.1"):
-            experiment.run_cell(cfg, "reconstruction", "combined", 0.1, 0, bundle)
+        )  # clean test set: no cell could compute an AUC
+        with pytest.raises(ConfigError, match="test labels hold only"):
+            experiment.prepare_data(cfg)
 
 
 class TestSweep:
@@ -256,6 +271,31 @@ class TestSweep:
         experiment.write_results(resumed, str(path))
         assert path.read_bytes() == reference
 
+    @pytest.mark.parametrize("write", [experiment.write_results,
+                                       experiment.write_summary])
+    def test_failed_write_keeps_previous_file(self, write, tmp_path,
+                                              monkeypatch):
+        result = experiment.run_sweep(tiny_config(ratios=(0.0, 0.1)))
+        path = tmp_path / "out.csv"
+        write(result, str(path))
+        before = path.read_bytes()
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+        real_fmt, calls = experiment._fmt, []
+
+        def failing_fmt(*args):
+            calls.append(args)
+            if len(calls) == 10:  # header and first row already written
+                raise OSError("disk full")
+            return real_fmt(*args)
+
+        monkeypatch.setattr(experiment, "_fmt", failing_fmt)
+        with pytest.raises(OSError, match="disk full"):
+            write(result, str(path))
+        assert len(calls) == 10
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.csv"]
+
     def test_parallel_matches_serial(self):
         cfg = tiny_config(ratios=(0.0, 0.1), repetitions=1)
         serial = experiment.run_sweep(cfg, workers=1)
@@ -278,3 +318,36 @@ class TestSweep:
                 assert row.discard_size == per_metric
             else:
                 assert per_metric <= row.discard_size <= 2 * per_metric
+
+
+def _blas_threads():
+    """Thread count of the OpenBLAS bundled with numpy, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+def _worker_blas_threads(_):
+    return _blas_threads()
+
+
+class TestPoolWorkers:
+    def test_workers_share_the_cores_as_blas_threads(self):
+        parent = _blas_threads()
+        if parent is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        cores = len(os.sched_getaffinity(0))
+        bundle = experiment.prepare_data(tiny_config())
+        with ProcessPoolExecutor(max_workers=2,
+                                 initializer=experiment._init_worker,
+                                 initargs=(bundle, cores)) as pool:
+            counts = set(pool.map(_worker_blas_threads, range(2)))
+        assert counts == {1}
+        assert _blas_threads() == parent

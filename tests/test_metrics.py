@@ -79,6 +79,23 @@ class TestAucRoc:
         assert metrics.auc_roc(2.0 * scores + 1.0, labels) == base
         assert metrics.auc_roc(scores**3, labels) == base
 
+    def test_exact_against_vectorised_oracle_with_ties_and_infinities(self):
+        rng = np.random.default_rng(5)
+        scores = rng.integers(0, 40, size=2000).astype(float)
+        scores[rng.random(2000) < 0.03] = np.inf
+        scores[rng.random(2000) < 0.03] = -np.inf
+        labels = (rng.random(2000) < 0.2).astype(int)
+        pos, neg = scores[labels == 1], scores[labels == 0]
+        u = ((pos[:, None] > neg).sum() + 0.5 * (pos[:, None] == neg).sum())
+        assert metrics.auc_roc(scores, labels) == u / (pos.size * neg.size)
+
+    def test_infinite_scores_tie(self):
+        assert metrics.auc_roc([np.inf, np.inf, -np.inf], [1, 0, 0]) == 0.75
+
+    def test_nan_scores_rejected(self):
+        with pytest.raises(MetricError, match="NaN"):
+            metrics.auc_roc([0.1, np.nan, 0.3], [1, 0, 0])
+
     def test_negation_complements(self):
         rng = np.random.default_rng(2)
         scores = rng.normal(size=40)
@@ -108,6 +125,10 @@ class TestBestF1:
     def test_no_positive_rejected(self):
         with pytest.raises(MetricError):
             metrics.best_f1([0.1, 0.2], [0, 0])
+
+    def test_nan_scores_rejected(self):
+        with pytest.raises(MetricError, match="NaN"):
+            metrics.best_f1([0.1, np.nan, 0.3], [1, 0, 0])
 
     def test_exact_against_enumeration(self):
         rng = np.random.default_rng(3)
