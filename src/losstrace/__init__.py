@@ -75,7 +75,6 @@ from .nn import (
     init_network,
     init_optimizer,
     mse_per_sample,
-    optimizer_step,
 )
 from .seeding import derive_seed
 

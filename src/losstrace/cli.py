@@ -14,6 +14,7 @@ import ctypes
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .data import (
@@ -23,6 +24,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     make_windows,
+    replacing_file,
     write_csv,
 )
 from .errors import ConfigError, ShapeError, ToolkitError
@@ -183,12 +185,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         trial_epochs=args.trial_epochs,
         method=method,
     )
-    channels = series.channels
-
-    def factory(seed: int):
-        return build_model(args.model, args.window, channels, args.horizon,
-                           tuple(args.hidden), seed)
-
+    factory = partial(build_model, args.model, args.window, series.channels,
+                      args.horizon, tuple(args.hidden))
     model, report = robust_train(factory, windows, config)
     save_checkpoint(model, args.checkpoint, normalizer=norm,
                     channel_names=series.channel_names)
@@ -214,9 +212,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
               f"({series.channel_names} vs {channel_names})", file=sys.stderr)
     if norm is not None:
         series = apply_normalizer(norm, series)
-    scores = anomaly_scores(model, series, stride=1)
+    scores = anomaly_scores(model, series)
     if args.scores_out:
-        with open(args.scores_out, "w", encoding="utf-8", newline="") as fh:
+        with replacing_file(args.scores_out) as fh:
             fh.write("score" + (",label\n" if series.labels is not None else "\n"))
             for t in range(series.length):
                 if series.labels is not None:
@@ -234,16 +232,55 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-SWEEP_CONFIG_KEYS = {
-    "dataset", "model_kinds", "methods", "ratios", "repetitions", "tau",
-    "trial_epochs", "window", "horizon", "hidden_sizes", "train_stride",
-    "train", "out_dir",
+# the JSON type of every sweep config value: [t] is a list of t; a number
+# may be an integer; true and false are of no type
+SWEEP_TYPES = {
+    "dataset": dict, "model_kinds": [str], "methods": [str], "ratios": [float],
+    "repetitions": int, "tau": float, "trial_epochs": int, "window": int,
+    "horizon": int, "hidden_sizes": [int], "train_stride": int, "train": dict,
+    "out_dir": str,
 }
-TRAIN_CONFIG_KEYS = {"epochs", "batch_size", "learning_rate", "patience"}
+TRAIN_TYPES = {"epochs": int, "batch_size": int, "learning_rate": float,
+               "patience": int}
+SYNTHETIC_TYPES = {"channels": int, "length": int, "periods": [int],
+                   "noise_sigma": float, "anomaly_types": [str],
+                   "anomaly_rate": float, "seed": int}
+CSV_TYPES = {"train_csv": str, "test_csv": str}
+TYPE_NAMES = {dict: ("an object", "objects"), str: ("a string", "strings"),
+              int: ("an integer", "integers"), float: ("a number", "numbers")}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind)
+
+
+def _typed(path: str, where: str, block, types: dict) -> dict:
+    """The entries of a JSON object, after checking that every key is in
+    types and every value of the type given there; lists become tuples."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path}: {where} must be an object")
+    unknown = set(block) - set(types)
+    if unknown:
+        raise ConfigError(f"{path}: unknown {where} keys {sorted(unknown)}")
+    for key, value in block.items():
+        kind = types[key]
+        if not _has_type(value, kind):
+            name = (f"a list of {TYPE_NAMES[kind[0]][1]}" if isinstance(kind, list)
+                    else TYPE_NAMES[kind][0])
+            raise ConfigError(f"{path}: {where} value {key!r} must be {name}, "
+                              f"got {json.dumps(value)}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in block.items()}
 
 
 def load_sweep_config(path: str, base_seed: int) -> tuple[SweepConfig, str | None]:
-    """Parse the JSON sweep config; returns (config, out_dir or None)."""
+    """Parse the JSON sweep config; returns (config, out_dir or None).
+
+    Every key and the type of every value are checked here, so a config
+    that loads can fail only on a value out of range.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -251,51 +288,21 @@ def load_sweep_config(path: str, base_seed: int) -> tuple[SweepConfig, str | Non
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - SWEEP_CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-
-    kwargs: dict = {"base_seed": base_seed}
-    dataset = raw.get("dataset")
-    if not isinstance(dataset, dict):
+    kwargs = _typed(path, "config", raw, SWEEP_TYPES)
+    out_dir = kwargs.pop("out_dir", None)
+    kwargs.update(_typed(path, "train", kwargs.pop("train", {}), TRAIN_TYPES))
+    if "dataset" not in kwargs:
         raise ConfigError(f"{path}: 'dataset' object is required")
+    dataset = kwargs.pop("dataset")
     if "synthetic" in dataset:
-        extra = set(dataset) - {"synthetic"}
-        if extra:
-            raise ConfigError(f"{path}: unexpected dataset keys {sorted(extra)}")
-        try:
-            kwargs["synthetic"] = SyntheticConfig(**{
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in dataset["synthetic"].items()
-            })
-        except TypeError as exc:
-            raise ConfigError(f"{path}: bad synthetic block: {exc}") from None
+        synthetic = _typed(path, "dataset", dataset, {"synthetic": dict})["synthetic"]
+        kwargs["synthetic"] = SyntheticConfig(
+            **_typed(path, "synthetic", synthetic, SYNTHETIC_TYPES))
     else:
-        extra = set(dataset) - {"train_csv", "test_csv"}
-        if extra:
-            raise ConfigError(f"{path}: unexpected dataset keys {sorted(extra)}")
-        kwargs["train_csv"] = dataset.get("train_csv")
-        kwargs["test_csv"] = dataset.get("test_csv")
-
-    for key in ("model_kinds", "ratios", "hidden_sizes"):
-        if key in raw:
-            kwargs[key] = tuple(raw[key])
-    if "methods" in raw:
-        kwargs["methods"] = tuple(_method_name(m) for m in raw["methods"])
-    for key in ("repetitions", "tau", "trial_epochs", "window", "horizon",
-                "train_stride"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    train = raw.get("train", {})
-    if not isinstance(train, dict) or set(train) - TRAIN_CONFIG_KEYS:
-        raise ConfigError(f"{path}: 'train' accepts keys {sorted(TRAIN_CONFIG_KEYS)}")
-    kwargs.update(train)
-    try:
-        return SweepConfig(**kwargs), raw.get("out_dir")
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        kwargs.update(_typed(path, "dataset", dataset, CSV_TYPES))
+    if "methods" in kwargs:
+        kwargs["methods"] = tuple(_method_name(m) for m in kwargs["methods"])
+    return SweepConfig(base_seed, **kwargs), out_dir
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -370,6 +377,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (ToolkitError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

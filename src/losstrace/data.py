@@ -6,8 +6,10 @@ All randomized operations take an explicit seed and are bit-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,9 +176,27 @@ def _parse_csv(fh, path: str) -> MultivariateSeries:
     )
 
 
+@contextlib.contextmanager
+def replacing_file(path: str, binary: bool = False):
+    """An open temp file beside path (UTF-8 text unless binary) that
+    replaces path only once the block completes; on any error, Ctrl-C
+    included, path is untouched and the temp file removed."""
+    tmp = f"{path}.tmp"
+    try:
+        with (open(tmp, "wb") if binary
+              else open(tmp, "w", newline="", encoding="utf-8")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(series: MultivariateSeries, path: str) -> None:
-    """Write a series in the format load_csv reads (lossless float repr)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write a series in the format load_csv reads (lossless float repr),
+    atomically."""
+    with replacing_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = list(series.channel_names)
         if series.labels is not None:

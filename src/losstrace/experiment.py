@@ -11,7 +11,6 @@ missing cells are recomputed).
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import ctypes
 import logging
@@ -35,6 +34,7 @@ from .data import (
     inject_contamination,
     load_csv,
     make_windows,
+    replacing_file,
 )
 from .errors import ConfigError, ParseError, ToolkitError
 from .filtering import METHODS, VANILLA, ModelFactory, RobustTrainConfig, robust_train
@@ -103,8 +103,9 @@ class SweepConfig:
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         # surface bad training values early, before any cell runs
-        TrainConfig(self.epochs, self.batch_size, self.learning_rate,
-                    self.patience, 0)
+        RobustTrainConfig(TrainConfig(self.epochs, self.batch_size,
+                                      self.learning_rate, self.patience, 0),
+                          self.tau, self.trial_epochs)
 
 
 @dataclass
@@ -220,7 +221,7 @@ def run_cell(
         )
         model, report = robust_train(_model_factory(cfg, kind, bundle),
                                      train_ws, rc)
-        scores = anomaly_scores(model, bundle.test, stride=1)
+        scores = anomaly_scores(model, bundle.test)
         auc = auc_roc(scores, bundle.test.labels)
         f1, _threshold = best_f1(scores, bundle.test.labels)
         cov = None
@@ -354,26 +355,11 @@ def _fmt(value: float | int | None, spec: str = "r") -> str:
     return repr(float(value))
 
 
-@contextlib.contextmanager
-def _replacing_csv(path: str):
-    """A csv writer on a temp file beside path that replaces path only once
-    the block completes; on any error path is untouched and the temp file
-    removed."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            yield csv.writer(fh, lineterminator="\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 def write_results(result: ExperimentResult, path: str) -> None:
     """Write the raw per-cell CSV (header: model,method,ratio,seed,auc,
     best_f1,coverage,discard_size,wall_time_s), atomically."""
-    with _replacing_csv(path) as writer:
+    with replacing_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RAW_HEADER)
         for r in result.rows:
             writer.writerow([
@@ -461,7 +447,8 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
 def write_summary(result: ExperimentResult, path: str) -> None:
     """Write mean/std aggregates (header: model,method,ratio,auc_mean,
     auc_std,f1_mean,f1_std,coverage_mean,coverage_std), atomically."""
-    with _replacing_csv(path) as writer:
+    with replacing_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
         for s in summarize(result):
             writer.writerow([

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import WindowSet, split_train_val
+from .data import WindowSet, replacing_file, split_train_val
 from .errors import ConfigError, FilterError
 from .models import TrainConfig, TsadModel, fit, sample_losses, train_epoch
 from .nn import init_optimizer
@@ -53,14 +53,6 @@ class LossTrace:
         if not np.isfinite(self.losses).all() or (self.losses < 0).any():
             raise FilterError("trace losses must be finite and non-negative")
 
-    @property
-    def num_samples(self) -> int:
-        return self.losses.shape[0]
-
-    @property
-    def trial_epochs(self) -> int:
-        return self.losses.shape[1] - 1
-
 
 @dataclass
 class FilterReport:
@@ -90,7 +82,8 @@ class FilterReport:
         }
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        """Write to_dict as indented JSON, atomically."""
+        with replacing_file(path) as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
 

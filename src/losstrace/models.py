@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import MultivariateSeries, Normalizer, WindowSet, make_windows
+from .data import (MultivariateSeries, Normalizer, WindowSet, make_windows,
+                   replacing_file)
 from .errors import ConfigError, ParseError, ShapeError, TrainingError
 
 RECONSTRUCTION = "reconstruction"
@@ -186,7 +187,6 @@ def fit(
     model: TsadModel,
     windows: WindowSet,
     config: TrainConfig,
-    mask: np.ndarray | list[int] | None = None,
     val_windows: WindowSet | None = None,
 ) -> FitResult:
     """Train for up to config.epochs with optional early stopping.
@@ -202,7 +202,7 @@ def fit(
     state = nn.init_optimizer(model.net, config.learning_rate)
     epochs_run = 0
     for epoch in range(config.epochs):
-        train_epoch(model, state, windows, config, epoch, mask=mask)
+        train_epoch(model, state, windows, config, epoch)
         epochs_run = epoch + 1
         if val_windows is None:
             continue
@@ -219,14 +219,11 @@ def fit(
     return FitResult(epochs_run, best_epoch, history)
 
 
-def anomaly_scores(
-    model: TsadModel, series: MultivariateSeries, stride: int = 1
-) -> np.ndarray:
+def anomaly_scores(model: TsadModel, series: MultivariateSeries) -> np.ndarray:
     """Per-timestep anomaly scores over a series.
 
     The model loss is computed for the window at every origin; a timestep's
-    score is the maximum loss over all windows covering it. Timesteps covered
-    by no window (possible when stride > 1) get the minimum computed score.
+    score is the maximum loss over all windows covering it.
     """
     w = model.window
     if series.channels != model.channels:
@@ -238,17 +235,13 @@ def anomaly_scores(
         raise ShapeError(
             f"series length {series.length} shorter than window {w}"
         )
-    windows = make_windows(series, w, stride)
-    losses = sample_losses(model, windows)
+    losses = sample_losses(model, make_windows(series, w, 1))
     scores = np.full(series.length, -np.inf)
-    # window j covers timesteps j*stride + shift for shift in 0..w-1
+    # window j covers timesteps j + shift for shift in 0..w-1
     n = losses.shape[0]
     for shift in range(w):
-        seg = scores[shift : shift + (n - 1) * stride + 1 : stride]
+        seg = scores[shift : shift + n]
         np.maximum(seg, losses, out=seg)
-    covered = np.isfinite(scores)
-    if not covered.all():
-        scores[~covered] = losses.min()
     return scores
 
 
@@ -256,7 +249,7 @@ def save_checkpoint(model: TsadModel, path: str,
                     normalizer: Normalizer | None = None,
                     channel_names: list[str] | None = None) -> None:
     """Serialize architecture + parameters (and optionally the fitted
-    normalizer) for bit-exact reload."""
+    normalizer) for bit-exact reload, atomically."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -276,7 +269,7 @@ def save_checkpoint(model: TsadModel, path: str,
     if normalizer is not None:
         arrays["norm_mean"] = normalizer.mean
         arrays["norm_std"] = normalizer.std
-    with open(path, "wb") as fh:
+    with replacing_file(path, binary=True) as fh:
         np.savez(fh, **arrays)
 
 

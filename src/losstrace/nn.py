@@ -122,13 +122,6 @@ class DenseNet:
             params.append(layer.bias)
         return params
 
-    def copy(self) -> "DenseNet":
-        """An independent network; construction packs a new flat vector."""
-        return DenseNet(
-            [DenseLayer(l.weights, l.bias, l.activation) for l in self.layers],
-            seed=self.seed,
-        )
-
     def __setstate__(self, state: dict) -> None:
         # pickle and copy.deepcopy copy flat and every layer array apart;
         # make the layers views of the copied flat vector again
@@ -228,7 +221,7 @@ def _backprop(
 ) -> None:
     """Backprop of the batch-mean per-sample MSE, written into grads.
 
-    The one backprop routine: every public gradient function calls it.
+    The one backprop routine: backward and train_step both call it.
     """
     zs, acts = _forward_cached(net, x)
     batch, k = targets.shape
@@ -250,7 +243,7 @@ def _backprop(
 def backward(net: DenseNet, x: np.ndarray, target: np.ndarray) -> Gradients:
     """Exact gradients of mse_per_sample(forward(net, x), target).
 
-    Returns one (weight_grad, bias_grad) pair per layer.
+    Returns one (weight_grad, bias_grad) pair per layer, in fresh arrays.
     """
     x = np.asarray(x, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -260,25 +253,8 @@ def backward(net: DenseNet, x: np.ndarray, target: np.ndarray) -> Gradients:
         raise ShapeError(
             f"target length {target.shape} != network output {net.output_size}"
         )
-    return backward_batch(net, x[None, :], target[None, :])
-
-
-def backward_batch(net: DenseNet, x: np.ndarray, targets: np.ndarray) -> Gradients:
-    """Gradients of the mean over the batch of per-sample MSE losses.
-
-    Returns one (weight_grad, bias_grad) pair per layer in fresh arrays.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or targets.ndim != 2 or x.shape[0] != targets.shape[0]:
-        raise ShapeError(f"incompatible batch shapes {x.shape} and {targets.shape}")
-    if x.shape[1] != net.input_size or targets.shape[1] != net.output_size:
-        raise ShapeError(
-            f"batch shapes {x.shape}/{targets.shape} do not match network "
-            f"{net.input_size}->{net.output_size}"
-        )
     grads = net.layer_views(np.empty_like(net.flat))
-    _backprop(net, x, targets, grads)
+    _backprop(net, x[None, :], target[None, :], grads)
     return grads
 
 
@@ -319,22 +295,6 @@ def init_optimizer(net: DenseNet, learning_rate: float = 1e-3) -> OptimizerState
     grad = np.zeros_like(net.flat)
     return OptimizerState(learning_rate, np.zeros_like(net.flat),
                           np.zeros_like(net.flat), grad, net.layer_views(grad))
-
-
-def optimizer_step(net: DenseNet, grads: Gradients, state: OptimizerState) -> None:
-    """Apply one Adam update with the given per-layer gradients.
-
-    Checks that grads and the state's buffers mirror the network, copies
-    grads into state.grads and runs the Adam kernel that train_step runs.
-    """
-    arrays = [(np.asarray(gw, dtype=np.float64), np.asarray(gb, dtype=np.float64))
-              for gw, gb in grads]
-    _check_mirrors(net, arrays)
-    _check_mirrors(net, state.grads)
-    for (dw, db), (gw, gb) in zip(state.grads, arrays):
-        np.copyto(dw, gw)
-        np.copyto(db, gb)
-    _adam(net, state)
 
 
 def train_step(net: DenseNet, state: OptimizerState, x: np.ndarray,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from losstrace import data, models
+from losstrace import cli, data, models
 from losstrace.cli import cli_main
 
 
@@ -323,6 +323,21 @@ class TestSweepFailsBeforeWriting:
     def test_impossible_architecture(self, extra, tmp_path, capsys):
         self.assert_aborted(sweep_config(tmp_path, **extra), tmp_path, capsys)
 
+    @pytest.mark.parametrize("extra, needle", [
+        ({"dataset": {"synthetic": [1]}}, "'synthetic' must be an object"),
+        ({"hidden_sizes": 4}, "'hidden_sizes' must be a list of integers"),
+        ({"methods": 5}, "'methods' must be a list of strings"),
+        ({"ratios": 0.1}, "'ratios' must be a list of numbers"),
+        ({"window": 2.5}, "'window' must be an integer"),
+        ({"tau": 1.5}, "tau must be in (0, 1)"),  # range, checked as early
+    ], ids=["synthetic", "hidden_sizes", "methods", "ratios", "window", "tau"])
+    def test_bad_config_value_creates_nothing(self, extra, needle, tmp_path, capsys):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        self.assert_failed(self.sweep(sweep_config(tmp_path, **extra), out),
+                           capsys, needle)
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", ["truncated_row", "extra_cell",
                                         "non_numeric_auc", "not_utf8"])
     def test_damaged_results_csv(self, damage, tmp_path, capsys):
@@ -404,6 +419,16 @@ class TestSweepCommand:
         cfg = sweep_config(tmp_path)
         assert run_cli("sweep", "--config", str(cfg),
                        "--out", str(tmp_path / "o")) != 0
+
+
+def test_ctrl_c_is_one_error_line(tmp_path, monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_generate", interrupted)
+    capsys.readouterr()
+    assert run_cli("generate", "--out", str(tmp_path), "--seed", "1") == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
 
 
 class TestArgParsing:

@@ -1,6 +1,8 @@
 """Sweep runner: planning, per-cell determinism, CSV round trips,
 aggregation, resumability, pool workers."""
 
+import argparse
+import builtins
 import ctypes
 import dataclasses
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from losstrace import experiment
+from losstrace import cli, data, experiment, filtering, models
 from losstrace.data import SyntheticConfig
 from losstrace.errors import ConfigError
 from losstrace.seeding import derive_seed
@@ -271,30 +273,71 @@ class TestSweep:
         experiment.write_results(resumed, str(path))
         assert path.read_bytes() == reference
 
-    @pytest.mark.parametrize("write", [experiment.write_results,
-                                       experiment.write_summary])
-    def test_failed_write_keeps_previous_file(self, write, tmp_path,
+    @pytest.mark.parametrize("writer", [
+        "write_results", "write_summary", "write_csv", "save_checkpoint",
+        "report", "scores_out",
+    ])
+    def test_failed_write_keeps_previous_file(self, writer, tmp_path,
                                               monkeypatch):
         result = experiment.run_sweep(tiny_config(ratios=(0.0, 0.1)))
-        path = tmp_path / "out.csv"
-        write(result, str(path))
+        series = data.MultivariateSeries(
+            np.random.default_rng(0).normal(size=(30, 2)),
+            np.tile([0, 1, 0], 10), ["a", "b"])
+        model = models.build_model("reconstruction", 4, 2, hidden_sizes=(3,))
+        checkpoint, test_csv = str(tmp_path / "model.npz"), str(tmp_path / "test.csv")
+        models.save_checkpoint(model, checkpoint)
+        data.write_csv(series, test_csv)
+        report = filtering.select_discard(np.arange(10.0), np.arange(10.0)[::-1], 0.2)
+        write = {
+            "write_results": lambda p: experiment.write_results(result, p),
+            "write_summary": lambda p: experiment.write_summary(result, p),
+            "write_csv": lambda p: data.write_csv(series, p),
+            "save_checkpoint": lambda p: models.save_checkpoint(model, p),
+            "report": report.write,
+            "scores_out": lambda p: cli._cmd_evaluate(argparse.Namespace(
+                test_csv=test_csv, checkpoint=checkpoint, scores_out=p)),
+        }[writer]
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        path = out_dir / "target"
+        write(str(path))
         before = path.read_bytes()
-        assert os.listdir(tmp_path) == ["out.csv"]
+        assert os.listdir(out_dir) == ["target"]
 
-        real_fmt, calls = experiment._fmt, []
+        real_open, writes = builtins.open, []
 
-        def failing_fmt(*args):
-            calls.append(args)
-            if len(calls) == 10:  # header and first row already written
-                raise OSError("disk full")
-            return real_fmt(*args)
+        class FailingFile:
+            """A file on which every write after the first fails."""
 
-        monkeypatch.setattr(experiment, "_fmt", failing_fmt)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, chunk):
+                writes.append(chunk)
+                if len(writes) > 1:
+                    raise OSError("disk full")
+                return self.fh.write(chunk)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return FailingFile(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(builtins, "open", failing_open)
         with pytest.raises(OSError, match="disk full"):
-            write(result, str(path))
-        assert len(calls) == 10
+            write(str(path))
+        monkeypatch.undo()
+        assert len(writes) > 1
         assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["out.csv"]
+        assert os.listdir(out_dir) == ["target"]
 
     def test_parallel_matches_serial(self):
         cfg = tiny_config(ratios=(0.0, 0.1), repetitions=1)

@@ -63,8 +63,8 @@ def toy_windows(n=40, w=4, d=2, seed=0):
 
 class TestLossTrace:
     def test_shape_and_accessors(self):
-        trace = filtering.LossTrace(np.ones((7, 4)))
-        assert trace.num_samples == 7 and trace.trial_epochs == 3
+        trace = filtering.LossTrace(np.ones((7, 4), dtype=np.int64))
+        assert trace.losses.shape == (7, 4) and trace.losses.dtype == np.float64
 
     def test_needs_at_least_one_epoch(self):
         with pytest.raises(FilterError):
@@ -121,7 +121,7 @@ class TestMetricM:
         for _ in range(100):
             trace = random_trace(rng)
             m = filtering.metric_m(trace)
-            for i in range(trace.num_samples):
+            for i in range(len(trace.losses)):
                 assert abs(m[i] - brute_mean_of_epochs(trace.losses[i].tolist())) <= 1e-12
 
 
@@ -140,7 +140,7 @@ class TestMetricV:
         for _ in range(100):
             trace = random_trace(rng)
             v = filtering.metric_v(trace)
-            for i in range(trace.num_samples):
+            for i in range(len(trace.losses)):
                 assert abs(v[i] - brute_std_of_deltas(trace.losses[i].tolist())) <= 1e-12
 
     def test_affine_trace_never_oscillates(self):

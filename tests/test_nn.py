@@ -220,9 +220,7 @@ class TestOptimizer:
         net = nn.init_network([3, 2], seed=1)
         before = [p.copy() for p in net.parameters()]
         state = nn.init_optimizer(net)
-        zeros = [(np.zeros_like(l.weights), np.zeros_like(l.bias))
-                 for l in net.layers]
-        nn.optimizer_step(net, zeros, state)
+        nn._adam(net, state)  # init_optimizer starts from a zero gradient
         for p, q in zip(net.parameters(), before):
             assert np.array_equal(p, q)
         assert state.step == 1
@@ -231,8 +229,8 @@ class TestOptimizer:
         # one step on f(w) = w^2 from w = 1 moves toward zero
         net = nn.DenseNet([nn.DenseLayer(np.array([[1.0]]), np.zeros(1), "identity")])
         state = nn.init_optimizer(net, learning_rate=1e-3)
-        grads = [(np.array([[2.0]]), np.zeros(1))]  # d(w^2)/dw at w=1
-        nn.optimizer_step(net, grads, state)
+        state.grad[:] = [2.0, 0.0]  # d(w^2)/dw at w=1, then the bias
+        nn._adam(net, state)
         w = float(net.layers[0].weights[0, 0])
         assert 0.0 < w < 1.0
 
@@ -243,24 +241,18 @@ class TestOptimizer:
         )
         state = nn.init_optimizer(net, learning_rate=0.1)
         for _ in range(200):
-            w = net.layers[0].weights
-            grads = [(2.0 * w, np.zeros(1))]
-            nn.optimizer_step(net, grads, state)
+            (gw, _), = state.grads
+            np.multiply(net.layers[0].weights, 2.0, out=gw)
+            nn._adam(net, state)
         loss = float((net.layers[0].weights ** 2).sum())
         assert loss < 1e-3
 
     def test_nonfinite_gradient_raises(self):
         net = nn.init_network([2, 2], seed=0)
         state = nn.init_optimizer(net)
-        bad = [(np.full((2, 2), np.nan), np.zeros(2))]
+        state.grads[0][0][...] = np.nan
         with pytest.raises(NumericError):
-            nn.optimizer_step(net, bad, state)
-
-    def test_gradient_shape_mismatch(self):
-        net = nn.init_network([2, 2], seed=0)
-        state = nn.init_optimizer(net)
-        with pytest.raises(ShapeError):
-            nn.optimizer_step(net, [(np.zeros((3, 2)), np.zeros(2))], state)
+            nn._adam(net, state)
 
     def test_deterministic_training_trajectory(self):
         def run():
@@ -269,8 +261,7 @@ class TestOptimizer:
             state = nn.init_optimizer(net, learning_rate=1e-2)
             xs = rng.normal(size=(16, 4))
             for i in range(25):
-                grads = nn.backward_batch(net, xs, xs)
-                nn.optimizer_step(net, grads, state)
+                nn.train_step(net, state, xs, xs)
             return [p.tobytes() for p in net.parameters()]
 
         assert run() == run()
@@ -288,7 +279,7 @@ class TestOptimizer:
 
             before = batch_loss()
             state = nn.init_optimizer(net, learning_rate=1e-6)
-            nn.optimizer_step(net, nn.backward_batch(net, xs, ts), state)
+            nn.train_step(net, state, xs, ts)
             assert batch_loss() <= before + 1e-12
 
 
@@ -379,21 +370,18 @@ class TestFlatEngineMatchesReference:
         xs = rng.normal(size=(n, sizes[0]))
         ts = rng.normal(size=(n, sizes[-1]))
         stepped = nn.init_network(sizes, activations, seed=int(rng.integers(1000)))
-        fresh = stepped.copy()
         layers = ref_layers(stepped)
-        state_step, state_fresh = nn.init_optimizer(stepped, 1e-2), nn.init_optimizer(fresh, 1e-2)
+        state = nn.init_optimizer(stepped, 1e-2)
         ref = RefAdam(layers, 1e-2)
         steps = 0
         while steps < 56:
             for start in range(0, n, batch):
                 x, t = xs[start:start + batch], ts[start:start + batch]
                 ref.step(layers, ref_backward_batch(layers, x, t))
-                nn.train_step(stepped, state_step, x, t)
-                nn.optimizer_step(fresh, nn.backward_batch(fresh, x, t), state_fresh)
+                nn.train_step(stepped, state, x, t)
                 steps += 1
         assert_same_parameters(stepped, layers)
-        assert_same_parameters(fresh, layers)
-        assert state_step.step == state_fresh.step == steps
+        assert state.step == steps
 
     def test_fit_with_early_stopping_bit_identical(self):
         rng = np.random.default_rng(4)
@@ -442,17 +430,6 @@ class TestFlatLayout:
         for p in net.parameters():
             assert p.flags.c_contiguous and np.shares_memory(p, net.flat)
 
-    def test_copy_shares_no_storage(self):
-        net = nn.init_network([4, 3, 4], seed=5)
-        clone = net.copy()
-        assert clone.flat.tobytes() == net.flat.tobytes()
-        assert not np.shares_memory(clone.flat, net.flat)
-        for p, q in zip(clone.parameters(), net.parameters()):
-            assert not np.shares_memory(p, q)
-        before = net.flat.copy()
-        clone.layers[0].weights += 1.0
-        assert net.flat.tobytes() == before.tobytes()
-
     def test_pickled_and_deep_copied_nets_keep_the_layout(self):
         net = nn.init_network([4, 3, 4], seed=6)
         for clone in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
@@ -468,17 +445,17 @@ class TestFlatLayout:
         state = nn.init_optimizer(net, 1e-2)
         x, t = rng.normal(size=(6, 4)), rng.normal(size=(6, 2))
         before = net.flat.copy()
-        nn.optimizer_step(net, nn.backward_batch(net, x, t), state)
+        nn.train_step(net, state, x, t)
         assert net.flat.tobytes() != before.tobytes()
         packed = np.concatenate([p.ravel() for p in net.parameters()])
         assert packed.tobytes() == net.flat.tobytes()
 
-    def test_backward_batch_results_are_not_overwritten(self):
+    def test_backward_results_are_not_overwritten(self):
         rng = np.random.default_rng(3)
         net = nn.init_network([3, 4, 2], seed=3)
-        first = nn.backward_batch(net, rng.normal(size=(5, 3)), rng.normal(size=(5, 2)))
+        first = nn.backward(net, rng.normal(size=3), rng.normal(size=2))
         kept = [g.copy() for pair in first for g in pair]
-        second = nn.backward_batch(net, rng.normal(size=(5, 3)), rng.normal(size=(5, 2)))
+        second = nn.backward(net, rng.normal(size=3), rng.normal(size=2))
         for g, k in zip((g for pair in first for g in pair), kept):
             assert g.tobytes() == k.tobytes()
         for g in (g for pair in first for g in pair):
@@ -496,12 +473,6 @@ class TestFlatLayout:
             models.train_epoch(model, other, windows, models.TrainConfig(seed=0), 0)
         assert other.step == 0
 
-    def test_state_of_another_network_rejected(self):
-        net = nn.init_network([3, 2], seed=0)
-        other = nn.init_optimizer(nn.init_network([3, 4], seed=0))
-        with pytest.raises(ShapeError):
-            nn.optimizer_step(net, other.grads, other)
-
     def test_checkpoint_round_trip_keeps_flat_layout(self, tmp_path):
         rng = np.random.default_rng(8)
         model = models.build_model("reconstruction", 4, 2, hidden_sizes=(3,), seed=8)
@@ -513,5 +484,5 @@ class TestFlatLayout:
             assert np.shares_memory(p, loaded.net.flat)
         x = rng.normal(size=(7, 8))
         for net in (model.net, loaded.net):
-            nn.optimizer_step(net, nn.backward_batch(net, x, x), nn.init_optimizer(net))
+            nn.train_step(net, nn.init_optimizer(net), x, x)
         assert loaded.net.flat.tobytes() == model.net.flat.tobytes()
