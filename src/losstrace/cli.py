@@ -10,7 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -46,11 +45,6 @@ from .models import (
     load_checkpoint,
     save_checkpoint,
 )
-
-# glibc's mallopt parameter number (malloc.h) and the size from which every
-# allocation gets its own mapping (see _pin_mmap_threshold)
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD_BYTES = 1 << 20
 
 # short method names on the command line; internal names also accepted
 METHOD_ALIASES = {"m": "m_only", "v": "v_only"}
@@ -326,7 +320,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("no output directory: pass --out, set "
                           f"${OUT_DIR_ENV}, or put out_dir in the config")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     raw_path = out / "results.csv"
     result = run_sweep(cfg, raw_path=str(raw_path), workers=args.workers,
                        record_timing=args.record_timing)
@@ -341,26 +334,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pin_mmap_threshold() -> None:
-    """Give every allocation of 1 MiB or more (numpy's whole-series arrays)
-    its own mapping, returned to the system when it is freed.
-
-    By default glibc raises this threshold to the largest block freed so
-    far and then serves such blocks from the heap, where a freed one stays
-    resident while any block above it lives. Which arrays stay resident
-    then depends on the exact order of all earlier allocations, and the
-    peak memory of one `evaluate` moved by a whole-batch array (~30 MB at
-    60k timesteps) from one run to the next. A fixed threshold keeps the
-    peak at the arrays alive together. Does nothing outside Linux.
-    """
-    if sys.platform.startswith("linux"):
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-        if mallopt is not None:
-            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-
-
 def cli_main(argv: list[str] | None = None) -> int:
-    _pin_mmap_threshold()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

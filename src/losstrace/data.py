@@ -289,8 +289,9 @@ class SyntheticConfig:
                 f"length {self.length} must be at least 10x the longest "
                 f"period {max(self.periods)}"
             )
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise sigma must be finite and >= 0, "
+                              f"got {self.noise_sigma}")
         unknown = set(self.anomaly_types) - set(ANOMALY_TYPES)
         if unknown or not self.anomaly_types:
             raise ConfigError(f"anomaly types must be a non-empty subset of "

@@ -296,12 +296,16 @@ def run_sweep(
 
     The dataset is prepared, and one model of each configured kind is built,
     once before any cell runs, so dataset, label and architecture errors
-    raise instead of failing every cell. Failures specific to one cell
-    produce rows with NA metrics (and a logged error) instead of aborting
-    the sweep; they are retried on the next resume. Unless record_timing is
+    raise instead of failing every cell, before raw_path's directory is
+    created. A forking pool starts all its workers at once, so at most one
+    per pending cell is asked for. Failures specific to one cell produce
+    rows with NA metrics (and a logged error) instead of aborting the
+    sweep; they are retried on the next resume. Unless record_timing is
     set, wall times are written as NA so repeated sweeps with the same seed
     produce byte-identical files.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     plan = plan_cells(cfg)
     done: dict[CellCoord, ResultRow] = {}
     if raw_path is not None:
@@ -322,8 +326,11 @@ def run_sweep(
         bundle = prepare_data(cfg)
         for kind in cfg.model_kinds:  # an impossible architecture fails here
             _model_factory(cfg, kind, bundle)(0)
+        if raw_path is not None:
+            Path(raw_path).parent.mkdir(parents=True, exist_ok=True)
         tasks = [(cfg, *coord) for coord in pending]
-        if workers > 1 and len(pending) > 1:
+        workers = min(workers, len(pending))
+        if workers > 1:
             with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                      initargs=(bundle, workers)) as pool:
                 rows.extend(pool.map(_run_pooled_cell, tasks))

@@ -9,14 +9,14 @@ loss-trace filter consumes) and per-timestep anomaly scores.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .data import (MultivariateSeries, Normalizer, WindowSet, make_windows,
-                   replacing_file)
+from .data import MultivariateSeries, Normalizer, WindowSet, replacing_file
 from .errors import ConfigError, ParseError, ShapeError, TrainingError
 
 RECONSTRUCTION = "reconstruction"
@@ -25,6 +25,10 @@ MODEL_KINDS = (RECONSTRUCTION, PREDICTION)
 
 CHECKPOINT_FORMAT = "losstrace-checkpoint"
 CHECKPOINT_VERSION = 1
+
+# most windows per slice of a loss pass: bounds its memory, and is above every
+# batch passed today, since smaller slices can change the last bits of a loss
+LOSS_PASS_ROWS = 1 << 15
 
 
 @dataclass
@@ -39,8 +43,9 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning rate must be finite and > 0, "
+                              f"got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -133,13 +138,15 @@ def _check_batch(model: TsadModel, batch: np.ndarray) -> None:
 
 
 def sample_losses(model: TsadModel, windows: WindowSet | np.ndarray) -> np.ndarray:
-    """Vector of per-sample losses for every window (batched evaluation)."""
+    """Per-sample losses of every window, in equal slices of <= LOSS_PASS_ROWS."""
     batch = windows.data if isinstance(windows, WindowSet) else np.asarray(windows)
     _check_batch(model, batch)
-    x, y = _window_io(model, batch)
-    diff = nn.forward_batch(model.net, x) - y
-    diff *= diff
-    return np.mean(diff, axis=1)
+    losses = []
+    for part in np.array_split(batch, max(1, math.ceil(len(batch) / LOSS_PASS_ROWS))):
+        x, y = _window_io(model, part)
+        diff = nn.forward_batch(model.net, x) - y
+        losses.append(np.mean(np.square(diff, out=diff), axis=1))
+    return np.concatenate(losses)
 
 
 def train_epoch(
@@ -235,7 +242,8 @@ def anomaly_scores(model: TsadModel, series: MultivariateSeries) -> np.ndarray:
         raise ShapeError(
             f"series length {series.length} shorter than window {w}"
         )
-    losses = sample_losses(model, make_windows(series, w, 1))
+    windows = np.lib.stride_tricks.sliding_window_view(series.values, w, axis=0)
+    losses = sample_losses(model, windows.transpose(0, 2, 1))
     scores = np.full(series.length, -np.inf)
     # window j covers timesteps j + shift for shift in 0..w-1
     n = losses.shape[0]

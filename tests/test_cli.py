@@ -72,50 +72,6 @@ def test_no_scipy_import(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
-MALLINFO_SCRIPT = """
-import ctypes, sys
-import numpy as np
-from losstrace.cli import cli_main
-
-class MallInfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
-        "fsmblks", "uordblks", "fordblks", "keepcost")]
-
-libc = ctypes.CDLL(None)
-if not hasattr(libc, "mallinfo2"):
-    print("no mallinfo2")
-    sys.exit()
-libc.mallinfo2.restype = MallInfo2
-if sys.argv[1] == "cli":
-    assert cli_main(["generate", "--out", sys.argv[2], "--length", "200",
-                     "--periods", "20", "--seed", "1"]) == 0
-freed = np.ones(1 << 20)  # 8 MiB, a mapped block
-del freed
-before = libc.mallinfo2().hblks
-kept = np.ones(1 << 18)  # 2 MiB
-print(libc.mallinfo2().hblks - before)
-"""
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc only")
-def test_cli_maps_large_arrays_after_larger_frees(tmp_path):
-    """After an 8 MiB block is freed glibc serves 2 MiB from the heap, where
-    freed blocks stay resident; under cli_main it maps them still."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    mapped = {}
-    for mode in ("plain", "cli"):
-        done = subprocess.run(
-            [sys.executable, "-c", MALLINFO_SCRIPT, mode, str(tmp_path / mode)],
-            env=env, capture_output=True, text=True, check=True)
-        mapped[mode] = done.stdout.splitlines()[-1]
-    if mapped["plain"] == "no mallinfo2":
-        pytest.skip("the C library has no mallinfo2")
-    assert mapped == {"plain": "0", "cli": "1"}
-
-
 class TestGenerate:
     def test_writes_loadable_files(self, dataset_dir):
         train = data.load_csv(str(dataset_dir / "train.csv"))
@@ -287,8 +243,7 @@ class TestSweepFailsBeforeWriting:
         out = tmp_path / "out"
         capsys.readouterr()
         self.assert_failed(self.sweep(cfg, out), capsys, *needles)
-        assert not (out / "results.csv").exists()
-        assert not (out / "summary.csv").exists()
+        assert not out.exists()
 
     def test_missing_train_csv(self, dataset_dir, tmp_path, capsys):
         cfg = sweep_config(tmp_path, dataset={
@@ -329,13 +284,33 @@ class TestSweepFailsBeforeWriting:
         ({"methods": 5}, "'methods' must be a list of strings"),
         ({"ratios": 0.1}, "'ratios' must be a list of numbers"),
         ({"window": 2.5}, "'window' must be an integer"),
-        ({"tau": 1.5}, "tau must be in (0, 1)"),  # range, checked as early
-    ], ids=["synthetic", "hidden_sizes", "methods", "ratios", "window", "tau"])
+        # ranges, checked as early
+        ({"tau": 1.5}, "tau must be in (0, 1)"),
+        ({"train": {"learning_rate": float("inf")}},
+         "learning rate must be finite and > 0, got inf"),
+        ({"dataset": {"synthetic": {"length": 600, "periods": [30],
+                                    "noise_sigma": float("inf")}}},
+         "noise sigma must be finite and >= 0, got inf"),
+        # values only cutting windows or building a model can check
+        ({"window": 0}, "window length must be >= 1"),
+        ({"train_stride": 0}, "stride must be >= 1"),
+        ({"window": 601}, "exceeds series length 600"),
+        ({"hidden_sizes": []}, "need at least one hidden layer size"),
+        ({"hidden_sizes": [0]}, "layer sizes must be positive integers"),
+    ], ids=["synthetic", "hidden_sizes", "methods", "ratios", "window", "tau",
+            "learning_rate_inf", "noise_sigma_inf", "window_0", "train_stride_0",
+            "window_too_long", "no_hidden_layer", "hidden_size_0"])
     def test_bad_config_value_creates_nothing(self, extra, needle, tmp_path, capsys):
+        self.assert_aborted(sweep_config(tmp_path, **extra), tmp_path, capsys,
+                            needle)
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one(self, workers, tmp_path, capsys):
         out = tmp_path / "out"
         capsys.readouterr()
-        self.assert_failed(self.sweep(sweep_config(tmp_path, **extra), out),
-                           capsys, needle)
+        code = run_cli("sweep", "--config", str(sweep_config(tmp_path)),
+                       "--seed", "7", "--out", str(out), "--workers", workers)
+        self.assert_failed(code, capsys, f"workers must be >= 1, got {workers}")
         assert not out.exists()
 
     @pytest.mark.parametrize("damage", ["truncated_row", "extra_cell",

@@ -394,3 +394,35 @@ class TestPoolWorkers:
             counts = set(pool.map(_worker_blas_threads, range(2)))
         assert counts == {1}
         assert _blas_threads() == parent
+
+    @pytest.mark.parametrize("workers, cells, started", [
+        (8, 2, [(2, 2)]),  # capped at the pending cells
+        (2, 4, [(2, 2)]),
+        (5, 1, []),  # one cell runs in this process
+        (1, 4, []),
+    ])
+    def test_pool_starts_one_worker_per_pending_cell(self, workers, cells,
+                                                     started, monkeypatch):
+        """A forking pool starts max_workers processes at the first submit,
+        so max_workers and the BLAS share follow the pending cells."""
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                seen.append((max_workers, initargs[1]))
+                monkeypatch.setattr(experiment, "_worker_bundle", initargs[0])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return list(map(fn, tasks))
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        cfg = tiny_config(methods=("vanilla",), ratios=(0.0,), repetitions=cells)
+        result = experiment.run_sweep(cfg, workers=workers)
+        assert len(result.rows) == cells and all(r.ok for r in result.rows)
+        assert seen == started

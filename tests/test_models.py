@@ -120,6 +120,43 @@ class TestSampleLoss:
         assert np.allclose(batched, looped, atol=1e-12, rtol=1e-12)
 
 
+class TestLossPassSlices:
+    """sample_losses runs in equal slices of at most LOSS_PASS_ROWS windows.
+    Exact equality with one pass is left to the benchmark digests: which
+    BLAS kernel a slice gets depends on the CPU."""
+
+    @pytest.mark.parametrize("kind", [models.RECONSTRUCTION, models.PREDICTION])
+    @pytest.mark.parametrize("n", [1, 5, 6, 11, 23])
+    def test_slices_match_one_pass(self, kind, n, monkeypatch):
+        m = models.build_model(kind, 4, 2, horizon=1, hidden_sizes=(3,), seed=7)
+        ws = toy_windows(n=n, w=4, d=2, seed=n)
+        whole = models.sample_losses(m, ws)
+        rows = []
+        forward_batch = nn.forward_batch
+
+        def recording(net, x):
+            rows.append(len(x))
+            return forward_batch(net, x)
+
+        monkeypatch.setattr(nn, "forward_batch", recording)
+        monkeypatch.setattr(models, "LOSS_PASS_ROWS", 5)
+        sliced = models.sample_losses(m, ws)
+        looped = [window_loss(m, ws.data[i]) for i in range(n)]
+        np.testing.assert_allclose(sliced, whole, rtol=1e-12)
+        np.testing.assert_allclose(sliced, looped, rtol=1e-12, atol=1e-12)
+        assert sum(rows) == n and max(rows) <= 5
+        if n > 5:
+            assert min(rows) >= 5 // 2
+
+    def test_sliced_scores_match(self, monkeypatch):
+        m = models.build_model("prediction", 6, 2, horizon=2, hidden_sizes=(4,), seed=2)
+        series = toy_series(t=50, d=2, seed=3)
+        whole = models.anomaly_scores(m, series)
+        monkeypatch.setattr(models, "LOSS_PASS_ROWS", 5)  # 45 windows, 9 slices
+        np.testing.assert_allclose(models.anomaly_scores(m, series), whole,
+                                   rtol=1e-12)
+
+
 class TestTrainEpoch:
     def test_empty_mask_rejected(self):
         ws = toy_windows()
