@@ -17,7 +17,9 @@ from functools import partial
 from pathlib import Path
 
 from .data import (
+    MIN_SPLIT_WINDOWS,
     SyntheticConfig,
+    _csv_rows,
     apply_normalizer,
     fit_normalizer,
     generate_synthetic,
@@ -167,6 +169,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
     norm = fit_normalizer(series)
     normalized = apply_normalizer(norm, series)
     windows = make_windows(normalized, args.window, args.stride)
+    if len(windows) < MIN_SPLIT_WINDOWS:
+        need = args.window + (MIN_SPLIT_WINDOWS - 1) * args.stride
+        raise ConfigError(
+            f"{args.train_csv}: {series.length} timesteps give {len(windows)} "
+            f"window(s) of length {args.window} at stride {args.stride}; "
+            f"training needs at least {MIN_SPLIT_WINDOWS} windows, that is "
+            f"at least {need} timesteps"
+        )
     config = RobustTrainConfig(
         train=TrainConfig(
             epochs=args.epochs,
@@ -210,11 +220,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.scores_out:
         with replacing_file(args.scores_out) as fh:
             fh.write("score" + (",label\n" if series.labels is not None else "\n"))
-            for t in range(series.length):
-                if series.labels is not None:
-                    fh.write(f"{scores[t]!r},{int(series.labels[t])}\n")
-                else:
-                    fh.write(f"{scores[t]!r}\n")
+            fh.write(_csv_rows(scores[:, None], series.labels))
     if series.labels is not None and 0 < series.labels.sum() < series.length:
         auc = auc_roc(scores, series.labels)
         f1, threshold = best_f1(scores, series.labels)

@@ -10,6 +10,7 @@ import contextlib
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,11 +112,64 @@ def load_csv(path: str) -> MultivariateSeries:
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return _parse_csv(fh, path)
+            series = _parse_table(fh)
+            if series is None:
+                fh.seek(0)
+                series = _parse_csv(fh, path)
+            return series
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: not a readable CSV file: {exc}") from None
+
+
+def _split_header(header: list[str]) -> tuple[list[str], bool]:
+    """(channel names, whether a label column follows them)."""
+    has_labels = bool(header) and header[-1] == LABEL_COLUMN
+    return (header[:-1] if has_labels else header), has_labels
+
+
+def _parse_table(fh) -> MultivariateSeries | None:
+    """The series parsed by one np.loadtxt call over the body, or None where
+    that result could differ from _parse_csv's; _parse_csv then reads the
+    file again and gives the result or the error.
+
+    loadtxt skips blank lines and reads nan, inf and 1e400, all of which
+    _parse_csv rejects; it rejects quoted cells and 1_5, which _parse_csv
+    reads. Its result is kept only when there is one row per line, every
+    value is finite and every label is 0 or 1; where both parsers accept a
+    cell they give the same float64.
+    """
+    lines = 0
+
+    def body():
+        nonlocal lines
+        for line in fh:
+            lines += 1
+            yield line
+
+    try:
+        names, has_labels = _split_header(next(csv.reader(fh), []))
+        if not names:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on an empty body
+            table = np.loadtxt(body(), delimiter=",", comments=None, ndmin=2,
+                               dtype=np.float64)
+    except (ValueError, Warning, csv.Error):  # UnicodeDecodeError included
+        return None
+    if table.shape != (lines, len(names) + has_labels):
+        return None
+    values = np.ascontiguousarray(table[:, : len(names)])
+    if not np.isfinite(values).all():
+        return None
+    labels = None
+    if has_labels:
+        column = table[:, -1]
+        if not ((column == 0.0) | (column == 1.0)).all():
+            return None
+        labels = column.astype(np.int8)
+    return MultivariateSeries(values, labels, names)
 
 
 def _parse_csv(fh, path: str) -> MultivariateSeries:
@@ -124,8 +178,7 @@ def _parse_csv(fh, path: str) -> MultivariateSeries:
         header = next(reader)
     except StopIteration:
         raise ParseError(f"{path}: empty file") from None
-    has_labels = bool(header) and header[-1] == LABEL_COLUMN
-    names = header[:-1] if has_labels else header
+    names, has_labels = _split_header(header)
     if not names:
         raise ParseError(f"{path}: no data columns in header")
     width = len(header)
@@ -180,11 +233,16 @@ def _parse_csv(fh, path: str) -> MultivariateSeries:
 def replacing_file(path: str, binary: bool = False):
     """An open temp file beside path (UTF-8 text unless binary) that
     replaces path only once the block completes; on any error, Ctrl-C
-    included, path is untouched and the temp file removed."""
+    included, path is untouched and the temp file removed. A temp file
+    that cannot be created raises an OSError naming path."""
     tmp = f"{path}.tmp"
     try:
-        with (open(tmp, "wb") if binary
-              else open(tmp, "w", newline="", encoding="utf-8")) as fh:
+        fh = (open(tmp, "wb") if binary
+              else open(tmp, "w", newline="", encoding="utf-8"))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -193,20 +251,25 @@ def replacing_file(path: str, binary: bool = False):
         raise
 
 
+def _csv_rows(values: np.ndarray, labels: np.ndarray | None) -> str:
+    """The data rows of write_csv's format: the repr of every value of a
+    (T, d) array (lossless), then the 0/1 label when labels are given."""
+    row = ",".join(["%r"] * values.shape[1] + ([] if labels is None else ["%d"]))
+    table = values if labels is None else np.column_stack([values, labels])
+    # one %-format over the whole table; %r is repr, so each value is
+    # written as repr(float(x))
+    return (f"{row}\n" * len(table)) % tuple(table.ravel().tolist())
+
+
 def write_csv(series: MultivariateSeries, path: str) -> None:
     """Write a series in the format load_csv reads (lossless float repr),
     atomically."""
+    header = list(series.channel_names)
+    if series.labels is not None:
+        header.append(LABEL_COLUMN)
     with replacing_file(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(series.channel_names)
-        if series.labels is not None:
-            header.append(LABEL_COLUMN)
-        writer.writerow(header)
-        for t in range(series.length):
-            row = [repr(float(x)) for x in series.values[t]]
-            if series.labels is not None:
-                row.append(str(int(series.labels[t])))
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write(_csv_rows(series.values, series.labels))
 
 
 @dataclass
@@ -296,6 +359,8 @@ class SyntheticConfig:
         if unknown or not self.anomaly_types:
             raise ConfigError(f"anomaly types must be a non-empty subset of "
                               f"{ANOMALY_TYPES}, got {self.anomaly_types}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.anomaly_rate <= 0.3:
             raise ConfigError(
                 f"anomaly rate must be in [0, 0.3], got {self.anomaly_rate}"
@@ -436,13 +501,18 @@ def inject_contamination(
     )
 
 
+# split_train_val's minimum: one validation window in five
+MIN_SPLIT_WINDOWS = 5
+
+
 def split_train_val(
     windows: WindowSet, seed: int
 ) -> tuple[WindowSet, WindowSet]:
     """Uniform random 4:1 partition into (train, val); |val| = round(n/5)."""
     n = len(windows)
-    if n < 5:
-        raise ConfigError(f"need at least 5 windows to split 4:1, got {n}")
+    if n < MIN_SPLIT_WINDOWS:
+        raise ConfigError(f"need at least {MIN_SPLIT_WINDOWS} windows to split "
+                          f"4:1, got {n}")
     n_val = round(n / 5)
     rng = np.random.default_rng(seed)
     val_idx = np.sort(rng.choice(n, size=n_val, replace=False))

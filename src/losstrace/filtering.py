@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import WindowSet, replacing_file, split_train_val
+from .data import MIN_SPLIT_WINDOWS, WindowSet, replacing_file, split_train_val
 from .errors import ConfigError, FilterError
 from .models import TrainConfig, TsadModel, fit, sample_losses, train_epoch
 from .nn import init_optimizer
@@ -245,7 +245,10 @@ def robust_train(
         metric_m(trace), metric_v(trace), config.tau, config.method
     )
     retained = np.setdiff1d(np.arange(n, dtype=np.int64), report.discard)
-    if retained.size == 0:
-        raise FilterError("no windows left after discarding")
+    if retained.size < MIN_SPLIT_WINDOWS:
+        raise FilterError(
+            f"discarding {report.discard.size} of {n} windows leaves "
+            f"{retained.size}; the final fit needs at least {MIN_SPLIT_WINDOWS}"
+        )
     model = _train_final(model_factory, windows.subset(retained), config.train)
     return model, report

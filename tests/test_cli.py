@@ -93,6 +93,14 @@ class TestGenerate:
                        "--length", "10", "--periods", "30", "--seed", "1")
         assert code != 0
 
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
+        code = run_cli("generate", "--out", str(tmp_path / "x"),
+                       "--length", "600", "--periods", "30", "--seed", "-1")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrainEvaluate:
     def test_train_writes_checkpoint_and_report(self, dataset_dir, tmp_path):
@@ -144,6 +152,65 @@ class TestTrainEvaluate:
         lines = scores_out.read_text().splitlines()
         assert lines[0] == "score,label"
         assert len(lines) == 601
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_scores_file_reads_back_exactly(self, labeled, dataset_dir, tmp_path):
+        ckpt = tmp_path / "model.npz"
+        assert run_cli(
+            "train", "--train-csv", str(dataset_dir / "train.csv"),
+            "--window", "6", "--stride", "6", "--hidden", "4",
+            "--method", "vanilla", "--epochs", "2", "--seed", "5",
+            "--checkpoint", str(ckpt),
+        ) == 0
+        test = data.load_csv(str(dataset_dir / "test.csv"))
+        if not labeled:
+            test = data.MultivariateSeries(test.values, None, test.channel_names)
+        test_csv = tmp_path / "test.csv"
+        data.write_csv(test, str(test_csv))
+        scores_out = tmp_path / "scores.csv"
+        assert run_cli("evaluate", "--test-csv", str(test_csv),
+                       "--checkpoint", str(ckpt),
+                       "--scores-out", str(scores_out)) == 0
+        model, norm, _ = models.load_checkpoint(str(ckpt))
+        expected = models.anomaly_scores(model, data.apply_normalizer(norm, test))
+        back = data.load_csv(str(scores_out))
+        assert back.channel_names == ["score"]
+        assert np.array_equal(back.values[:, 0].view(np.int64),
+                              expected.view(np.int64))
+        if labeled:
+            assert np.array_equal(back.labels, test.labels)
+        else:
+            assert back.labels is None
+
+    @pytest.mark.parametrize("window, stride, count", [
+        ("600", "1", 1), ("590", "3", 4),
+    ])
+    def test_too_few_windows(self, window, stride, count, dataset_dir,
+                             tmp_path, capsys):
+        train_csv = dataset_dir / "train.csv"
+        capsys.readouterr()
+        code = run_cli("train", "--train-csv", str(train_csv),
+                       "--window", window, "--stride", stride,
+                       "--seed", "1", "--checkpoint", str(tmp_path / "m.npz"))
+        err = capsys.readouterr().err
+        assert code == 1
+        need = int(window) + 4 * int(stride)
+        assert err == (
+            f"error: {train_csv}: 600 timesteps give {count} window(s) of "
+            f"length {window} at stride {stride}; training needs at least 5 "
+            f"windows, that is at least {need} timesteps\n")
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_too_few_windows_after_discarding(self, dataset_dir, tmp_path,
+                                              capsys):
+        capsys.readouterr()
+        code = run_cli("train", "--train-csv", str(dataset_dir / "train.csv"),
+                       "--window", "588", "--stride", "3", "--trial-epochs", "2",
+                       "--seed", "1", "--checkpoint", str(tmp_path / "m.npz"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: discarding 2 of 5 windows leaves 3; the final "
+                       "fit needs at least 5\n")
 
     def test_evaluate_channel_mismatch_fails(self, dataset_dir, tmp_path, capsys):
         ckpt = tmp_path / "model.npz"
@@ -213,6 +280,17 @@ class TestFailuresExitOne:
         code = run_cli("evaluate", "--test-csv", str(dataset_dir / "test.csv"),
                        "--checkpoint", str(checkpoint))
         self.assert_failed(code, capsys)
+
+    def test_unwritable_scores_path_names_it(self, checkpoint, dataset_dir,
+                                             tmp_path, capsys):
+        target = tmp_path / "nodir" / "x.csv"
+        capsys.readouterr()
+        code = run_cli("evaluate", "--test-csv", str(dataset_dir / "test.csv"),
+                       "--checkpoint", str(checkpoint),
+                       "--scores-out", str(target))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
     def test_missing_test_csv(self, checkpoint, tmp_path, capsys):
         capsys.readouterr()
@@ -297,9 +375,13 @@ class TestSweepFailsBeforeWriting:
         ({"window": 601}, "exceeds series length 600"),
         ({"hidden_sizes": []}, "need at least one hidden layer size"),
         ({"hidden_sizes": [0]}, "layer sizes must be positive integers"),
+        ({"dataset": {"synthetic": {"length": 600, "periods": [30],
+                                    "seed": -1}}},
+         "seed must be >= 0, got -1"),
     ], ids=["synthetic", "hidden_sizes", "methods", "ratios", "window", "tau",
             "learning_rate_inf", "noise_sigma_inf", "window_0", "train_stride_0",
-            "window_too_long", "no_hidden_layer", "hidden_size_0"])
+            "window_too_long", "no_hidden_layer", "hidden_size_0",
+            "seed_negative"])
     def test_bad_config_value_creates_nothing(self, extra, needle, tmp_path, capsys):
         self.assert_aborted(sweep_config(tmp_path, **extra), tmp_path, capsys,
                             needle)

@@ -1,5 +1,6 @@
 """Dataset ingestion, windowing, synthetic generation and contamination."""
 
+import csv
 import math
 
 import numpy as np
@@ -81,6 +82,155 @@ class TestLoadCsv:
         assert np.allclose(back.values, s.values, atol=1e-12, rtol=0)
         assert np.array_equal(back.labels, s.labels)
         assert back.channel_names == s.channel_names
+
+
+def reference_load(path):
+    """load_csv through the row parser alone."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return data._parse_csv(fh, str(path))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: not a readable CSV file: {exc}") from None
+
+
+def reference_write(s, path):
+    """write_csv as one csv.writer row per timestep, repr(float(x)) cells."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        has_labels = s.labels is not None
+        writer.writerow(list(s.channel_names) + (["label"] if has_labels else []))
+        for t in range(s.length):
+            row = [repr(float(x)) for x in s.values[t]]
+            if has_labels:
+                row.append(str(int(s.labels[t])))
+            writer.writerow(row)
+
+
+def outcome(load, path):
+    """The loaded series (names, values' shape, layout and int64 bits,
+    labels' dtype and values) or the ParseError message."""
+    try:
+        s = load(path)
+    except ParseError as exc:
+        return str(exc)
+    labels = None if s.labels is None else (s.labels.dtype.str, s.labels.tolist())
+    return (s.channel_names, s.values.shape, s.values.flags["C_CONTIGUOUS"],
+            s.values.view(np.int64).tolist(), labels)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+GOOD_CELLS = st.one_of(finite.map(repr), st.integers(-10**6, 10**6).map(str),
+                       st.sampled_from(["-0", "1.", ".5", "+2", "1e-3", " 1.5 ",
+                                        "\t7"]))
+ODD_CELLS = st.sampled_from([
+    "", " ", "nan", "inf", "-Infinity", "1e400", "-1e400", "1_5", '"1.5"',
+    '"2"', "#3", "\ufeff1", "0x10", "1 2", "a", "1\x0c", "\xa01", "1j",
+])
+LABELS = st.sampled_from(["0", "1", "1.0", "0.0", "-0", "1e0", "2", "0.5", "",
+                          "nan", '"1"'])
+ODD_LINES = st.sampled_from(["", " ", "\t", "#", "# comment", ",", "1,2,3,4"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A well-formed CSV text with up to three defects: an odd cell or
+    label, an inserted blank, whitespace-only or '#' line, a ragged row, a
+    CRLF or lone-CR line end, a missing final newline or a BOM."""
+    width = draw(st.integers(1, 3))
+    has_labels = draw(st.booleans())
+    header = [f"c{i}" for i in range(width)] + (["label"] if has_labels else [])
+    rows = [[draw(GOOD_CELLS) for _ in range(width)]
+            + ([draw(st.sampled_from(["0", "1", "1.0"]))] if has_labels else [])
+            for _ in range(draw(st.integers(0, 6)))]
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    ends = ["\n"] * len(lines)
+    bom, final_newline = "", True
+    for _ in range(draw(st.integers(0, 3))):
+        defect = draw(st.sampled_from(["cell", "label", "line", "ragged", "end",
+                                       "final", "bom"]))
+        t = draw(st.integers(1, max(1, len(lines) - 1)))
+        if defect in ("cell", "label", "ragged") and t < len(lines):
+            row = lines[t].split(",")
+            if defect == "cell":
+                row[draw(st.integers(0, len(row) - 1))] = draw(ODD_CELLS)
+            elif defect == "label" and has_labels:
+                row[-1] = draw(LABELS)
+            elif defect == "ragged":
+                row = row[:-1] if draw(st.booleans()) else row + ["0"]
+            lines[t] = ",".join(row)
+        elif defect == "line":
+            lines.insert(t, draw(ODD_LINES))
+            ends.insert(t, "\n")
+        elif defect == "end":
+            ends[t - 1] = draw(st.sampled_from(["\r\n", "\r"]))
+        elif defect == "final":
+            final_newline = False
+        elif defect == "bom":
+            bom = "\ufeff"
+    text = bom + "".join(line + end for line, end in zip(lines, ends))
+    return text if final_newline else text.rstrip("\r\n")
+
+
+class TestLoadCsvTableParse:
+    """load_csv parses a well-formed body with one np.loadtxt call and falls
+    back to the row parser for anything else: results and error messages
+    are those of the row parser alone."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts())
+    def test_matches_row_parser(self, text, tmp_path_factory):
+        p = tmp_path_factory.getbasetemp() / "table-parse.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert outcome(data.load_csv, p) == outcome(reference_load, p)
+
+    @pytest.mark.parametrize("body, expected", [
+        ("1,2\n\n3,4\n", "ragged row 2: expected 2 cells, got 0"),
+        ("1,2\n \n", "ragged row 2: expected 2 cells, got 1"),
+        ("nan,1\n", "row 1, column 'a': non-finite value"),
+        ("1,inf\n", "row 1, column 'b': non-finite value"),
+        ("1e400,1\n", "row 1, column 'a': non-finite value"),
+        ("1,2\n#c,3\n", "row 2, column 'a': cannot parse '#c' as a number"),
+        ("1\n2\n", "ragged row 1: expected 2 cells, got 1"),
+    ])
+    def test_rows_loadtxt_accepts_or_skips_are_rejected(self, body, expected,
+                                                        tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("a,b\n" + body)
+        with pytest.raises(ParseError) as info:
+            data.load_csv(str(p))
+        assert str(info.value) == f"{p}: {expected}"
+
+    def test_cells_only_the_row_parser_reads(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text('a,b,label\n"1.5",1_5,1.0\r2,3,0\r\n')
+        s = data.load_csv(str(p))
+        assert s.values.tolist() == [[1.5, 15.0], [2.0, 3.0]]
+        assert s.labels.tolist() == [1, 0]
+
+    def test_written_files_take_the_table_parse(self, tmp_path):
+        rng = np.random.default_rng(3)
+        p = tmp_path / "s.csv"
+        data.write_csv(series(rng.normal(size=(30, 2)),
+                              rng.integers(0, 2, size=30)), str(p))
+        with open(p, newline="", encoding="utf-8") as fh:
+            assert data._parse_table(fh) is not None
+
+
+class TestWriteCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(finite, finite, st.integers(0, 1)),
+                         max_size=12),
+           labeled=st.booleans())
+    def test_bytes_equal_csv_writer_reference(self, rows, labeled,
+                                              tmp_path_factory):
+        table = np.array(rows, dtype=np.float64).reshape(-1, 3)
+        labels = table[:, 2].astype(np.int8) if labeled else None
+        s = data.MultivariateSeries(table[:, :2], labels, ["x", "y,z"])
+        written = tmp_path_factory.getbasetemp() / "written.csv"
+        reference = tmp_path_factory.getbasetemp() / "reference.csv"
+        data.write_csv(s, str(written))
+        reference_write(s, reference)
+        assert written.read_bytes() == reference.read_bytes()
 
 
 class TestNormalizer:
