@@ -13,19 +13,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 from .data import (
-    MIN_SPLIT_WINDOWS,
     SyntheticConfig,
     _csv_rows,
     apply_normalizer,
-    fit_normalizer,
     generate_synthetic,
     load_csv,
-    make_windows,
     replacing_file,
+    training_windows,
     write_csv,
 )
 from .errors import ConfigError, ShapeError, ToolkitError
@@ -166,29 +165,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     method = _method_name(args.method)
     series = load_csv(args.train_csv)
-    norm = fit_normalizer(series)
-    normalized = apply_normalizer(norm, series)
-    windows = make_windows(normalized, args.window, args.stride)
-    if len(windows) < MIN_SPLIT_WINDOWS:
-        need = args.window + (MIN_SPLIT_WINDOWS - 1) * args.stride
-        raise ConfigError(
-            f"{args.train_csv}: {series.length} timesteps give {len(windows)} "
-            f"window(s) of length {args.window} at stride {args.stride}; "
-            f"training needs at least {MIN_SPLIT_WINDOWS} windows, that is "
-            f"at least {need} timesteps"
-        )
+    norm, windows = training_windows(series, args.window, args.stride,
+                                     args.train_csv)
     config = RobustTrainConfig(
-        train=TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.learning_rate,
-            patience=args.patience,
-            seed=args.seed,
-        ),
-        tau=args.tau,
-        trial_epochs=args.trial_epochs,
-        method=method,
-    )
+        TrainConfig(args.epochs, args.batch_size, args.learning_rate,
+                    args.patience, args.seed),
+        args.tau, args.trial_epochs, method)
     factory = partial(build_model, args.model, args.window, series.channels,
                       args.horizon, tuple(args.hidden))
     model, report = robust_train(factory, windows, config)
@@ -316,11 +298,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "tau": args.tau,
         "trial_epochs": args.trial_epochs,
     }
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    if updates:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **updates)
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or cfg_out_dir
     if not out_dir:
         raise ConfigError("no output directory: pass --out, set "

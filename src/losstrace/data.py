@@ -520,3 +520,22 @@ def split_train_val(
     mask[val_idx] = False
     train_idx = np.flatnonzero(mask)
     return windows.subset(train_idx), windows.subset(val_idx)
+
+
+def training_windows(
+    series: MultivariateSeries, window: int, stride: int, source: str
+) -> tuple[Normalizer, WindowSet]:
+    """The normalizer fitted on a training series and the windows of the
+    normalized series; fewer than MIN_SPLIT_WINDOWS windows raise a
+    ConfigError that begins with source and names the timesteps needed."""
+    norm = fit_normalizer(series)
+    windows = make_windows(apply_normalizer(norm, series), window, stride)
+    if len(windows) < MIN_SPLIT_WINDOWS:
+        need = window + (MIN_SPLIT_WINDOWS - 1) * stride
+        raise ConfigError(
+            f"{source}: {series.length} timesteps give {len(windows)} "
+            f"window(s) of length {window} at stride {stride}; "
+            f"training needs at least {MIN_SPLIT_WINDOWS} windows, that is "
+            f"at least {need} timesteps"
+        )
+    return norm, windows

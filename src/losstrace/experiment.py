@@ -29,12 +29,12 @@ from .data import (
     SyntheticConfig,
     WindowSet,
     apply_normalizer,
-    fit_normalizer,
     generate_synthetic,
     inject_contamination,
     load_csv,
     make_windows,
     replacing_file,
+    training_windows,
 )
 from .errors import ConfigError, ParseError, ToolkitError
 from .filtering import METHODS, VANILLA, ModelFactory, RobustTrainConfig, robust_train
@@ -102,10 +102,14 @@ class SweepConfig:
                               f"got {self.ratios}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        # surface bad training values early, before any cell runs
-        RobustTrainConfig(TrainConfig(self.epochs, self.batch_size,
-                                      self.learning_rate, self.patience, 0),
-                          self.tau, self.trial_epochs)
+        self.train_config(self.methods[0], 0)  # bad training values fail here
+
+    def train_config(self, method: str, seed: int) -> RobustTrainConfig:
+        """The robust-training settings of one sweep cell."""
+        return RobustTrainConfig(
+            TrainConfig(self.epochs, self.batch_size, self.learning_rate,
+                        self.patience, seed),
+            self.tau, self.trial_epochs, method)
 
 
 @dataclass
@@ -143,16 +147,17 @@ class DataBundle:
 def prepare_data(cfg: SweepConfig) -> DataBundle:
     """Load or generate the dataset, normalize it, and cut windows.
 
-    Raises ConfigError for a test series without labels, or whose labels
-    are all 0 or all 1: no cell could be evaluated on it.
+    Raises ConfigError for a test series without labels or with one class,
+    for too few training windows, and for flagged training windows that a
+    ratio above 0 would inject into: every cell would fail on them.
     """
     if cfg.synthetic is not None:
         train, test = generate_synthetic(cfg.synthetic)
-        source = "synthetic dataset"
+        train_source = source = "synthetic dataset"
     else:
         assert cfg.train_csv is not None and cfg.test_csv is not None
         train, test = load_csv(cfg.train_csv), load_csv(cfg.test_csv)
-        source = cfg.test_csv
+        train_source, source = cfg.train_csv, cfg.test_csv
         if test.labels is None:
             raise ConfigError(f"{cfg.test_csv}: test series has no label "
                               f"column; a sweep needs labels to evaluate")
@@ -160,10 +165,16 @@ def prepare_data(cfg: SweepConfig) -> DataBundle:
     if classes != [0, 1]:
         raise ConfigError(f"{source}: test labels hold only {classes}; a sweep "
                           f"needs both normal (0) and anomalous (1) timesteps")
-    norm = fit_normalizer(train)
-    train = apply_normalizer(norm, train)
+    norm, train_windows = training_windows(train, cfg.window, cfg.train_stride,
+                                           train_source)
+    del train  # freed before the test windows are cut: lower peak memory
+    flagged = int(train_windows.flags.sum())
+    if flagged and max(cfg.ratios) > 0:
+        raise ConfigError(
+            f"{train_source}: {flagged} of {len(train_windows)} training "
+            f"windows are flagged anomalous; contamination ratios above 0 "
+            f"need all of them normal, so run this series at ratio 0 only")
     test = apply_normalizer(norm, test)
-    train_windows = make_windows(train, cfg.window, cfg.train_stride)
     test_windows = make_windows(test, cfg.window, 1)
     pool = test_windows.subset(np.flatnonzero(test_windows.flags == 1))
     return DataBundle(train_windows, pool, test)
@@ -207,18 +218,7 @@ def run_cell(
             train_ws, injected = inject_contamination(bundle.train_windows, spec)
         else:
             train_ws, injected = bundle.train_windows, set()
-        rc = RobustTrainConfig(
-            train=TrainConfig(
-                epochs=cfg.epochs,
-                batch_size=cfg.batch_size,
-                learning_rate=cfg.learning_rate,
-                patience=cfg.patience,
-                seed=derive_seed(seed, "train"),
-            ),
-            tau=cfg.tau,
-            trial_epochs=cfg.trial_epochs,
-            method=method,
-        )
+        rc = cfg.train_config(method, derive_seed(seed, "train"))
         model, report = robust_train(_model_factory(cfg, kind, bundle),
                                      train_ws, rc)
         scores = anomaly_scores(model, bundle.test)

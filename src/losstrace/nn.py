@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 
 ACTIVATIONS = ("tanh", "relu", "identity")
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and offset
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -279,9 +280,6 @@ class OptimizerState:
     v: np.ndarray
     grad: np.ndarray
     grads: Gradients
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     scratch: np.ndarray = field(init=False, repr=False)
 
@@ -315,14 +313,15 @@ def _adam(net: DenseNet, state: OptimizerState) -> None:
 
     Per element it applies, in this order, m = b1*m + (1-b1)*g,
     v = b2*v + ((1-b2)*g)*g and p -= (lr * (m / (1-b1^t))) /
-    (sqrt(v / (1-b2^t)) + eps), then advances the step counter.
+    (sqrt(v / (1-b2^t)) + eps), then advances the step counter; b1, b2
+    and eps are BETA1, BETA2 and EPS.
     """
     g = state.grad
     if not np.isfinite(g).all():
         raise NumericError("non-finite gradient")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     m, v = state.m, state.v
     a, b = state.scratch
     np.multiply(g, 1.0 - b1, out=a)
@@ -336,6 +335,6 @@ def _adam(net: DenseNet, state: OptimizerState) -> None:
     a *= state.learning_rate
     np.divide(v, 1.0 - b2**t, out=b)
     np.sqrt(b, out=b)
-    b += state.eps
+    b += EPS
     a /= b
     net.flat -= a

@@ -55,6 +55,17 @@ def sweep_config(tmp_path, **extra):
     return path
 
 
+def contaminated_dataset(dataset_dir, tmp_path):
+    """A sweep's CSV dataset whose training series holds the test split's
+    labelled anomalies, copied in at the same timesteps."""
+    train = (dataset_dir / "train.csv").read_text().splitlines(keepends=True)
+    test = (dataset_dir / "test.csv").read_text().splitlines(keepends=True)
+    train = [a if a.endswith(",1\n") else t for t, a in zip(train, test)]
+    train_csv = tmp_path / "contaminated.csv"
+    train_csv.write_text("".join(train))
+    return {"train_csv": str(train_csv), "test_csv": str(dataset_dir / "test.csv")}
+
+
 def test_no_scipy_import(tmp_path):
     script = (
         "import sys\n"
@@ -349,6 +360,13 @@ class TestSweepFailsBeforeWriting:
         }})
         self.assert_aborted(cfg, tmp_path, capsys, "test labels hold only [0]")
 
+    def test_flagged_training_windows_with_contamination(self, dataset_dir,
+                                                          tmp_path, capsys):
+        dataset = contaminated_dataset(dataset_dir, tmp_path)
+        cfg = sweep_config(tmp_path, dataset=dataset)
+        self.assert_aborted(cfg, tmp_path, capsys, dataset["train_csv"],
+                            "training windows are flagged anomalous")
+
     @pytest.mark.parametrize("extra", [
         {"hidden_sizes": [32]},  # bottleneck 32 >= window 6 x 2 channels
         {"model_kinds": ["prediction"], "horizon": 6},  # horizon >= window 6
@@ -378,10 +396,12 @@ class TestSweepFailsBeforeWriting:
         ({"dataset": {"synthetic": {"length": 600, "periods": [30],
                                     "seed": -1}}},
          "seed must be >= 0, got -1"),
+        # 600 timesteps at window 6 and stride 150 give 4 windows
+        ({"train_stride": 150}, "training needs at least 5 windows"),
     ], ids=["synthetic", "hidden_sizes", "methods", "ratios", "window", "tau",
             "learning_rate_inf", "noise_sigma_inf", "window_0", "train_stride_0",
             "window_too_long", "no_hidden_layer", "hidden_size_0",
-            "seed_negative"])
+            "seed_negative", "train_windows_too_few"])
     def test_bad_config_value_creates_nothing(self, extra, needle, tmp_path, capsys):
         self.assert_aborted(sweep_config(tmp_path, **extra), tmp_path, capsys,
                             needle)
@@ -443,6 +463,17 @@ class TestSweepCommand:
                        "--repetitions", "1", "--methods", "vanilla") == 0
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 2  # header + one row
+
+    def test_flagged_training_windows_at_ratio_zero(self, dataset_dir,
+                                                    tmp_path):
+        cfg = sweep_config(tmp_path,
+                           dataset=contaminated_dataset(dataset_dir, tmp_path))
+        out = tmp_path / "res"
+        assert run_cli("sweep", "--config", str(cfg), "--seed", "7",
+                       "--out", str(out), "--ratios", "0.0") == 0
+        lines = (out / "results.csv").read_text().splitlines()
+        assert len(lines) == 5  # header, 2 methods x 2 repetitions
+        assert all(line.split(",")[4] != "NA" for line in lines[1:])  # auc
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg = sweep_config(tmp_path)

@@ -310,6 +310,30 @@ class TestMakeWindows:
             assert len(ws) == (t - w) // stride + 1
 
 
+class TestTrainingWindows:
+    def test_equals_normalize_then_window(self):
+        rng = np.random.default_rng(4)
+        labels = (rng.random(90) < 0.1).astype(np.int8)
+        s = series(rng.normal(2.0, 3.0, size=(90, 3)), labels=labels)
+        norm, ws = data.training_windows(s, 7, 3, "train.csv")
+        expected_norm = data.fit_normalizer(s)
+        expected = data.make_windows(data.apply_normalizer(expected_norm, s), 7, 3)
+        assert norm.mean.tobytes() == expected_norm.mean.tobytes()
+        assert norm.std.tobytes() == expected_norm.std.tobytes()
+        assert ws.data.tobytes() == expected.data.tobytes()
+        assert ws.flags.tolist() == expected.flags.tolist()
+        assert ws.origins.tolist() == expected.origins.tolist()
+
+    def test_too_few_windows_message(self):
+        s = series(np.arange(40.0).reshape(20, 2))
+        with pytest.raises(ConfigError) as info:
+            data.training_windows(s, 6, 4, "train.csv")
+        assert str(info.value) == (
+            "train.csv: 20 timesteps give 4 window(s) of length 6 at stride 4; "
+            "training needs at least 5 windows, that is at least 22 timesteps")
+        assert len(data.training_windows(s, 4, 4, "train.csv")[1]) == 5
+
+
 class TestGenerateSynthetic:
     def test_zero_rate_gives_clean_test(self):
         cfg = data.SyntheticConfig(channels=2, length=600, periods=(30,),
