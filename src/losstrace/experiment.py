@@ -1,11 +1,15 @@
 """Sweep runner: models x training methods x contamination ratios x
-repetitions, with deterministic per-cell seeds and CSV outputs.
+repetitions, with deterministic seeds and CSV outputs.
 
 Raw results go to one CSV (one row per cell), aggregates to a companion
-summary CSV suitable for plotting metric-vs-ratio curves. Cells are
-independent: each derives its own seed from the base seed and its
-coordinates, so results do not depend on execution order or worker count,
-and an interrupted sweep can be resumed (completed rows are kept, failed or
+summary CSV suitable for plotting metric-vs-ratio curves. The cells of one
+(model, ratio, repetition) form a group that shares one seed, derived from
+the base seed and those coordinates alone: every method trains on the same
+contaminated windows, with the same split and initialisations, so the
+methods' rows are paired. The group is the unit of work, serial and
+pooled; its first filtering method records the trial trace and the others
+reuse it. Results do not depend on execution order or worker count, and an
+interrupted sweep can be resumed (completed rows are kept, failed or
 missing cells are recomputed).
 """
 
@@ -16,6 +20,7 @@ import ctypes
 import logging
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -37,7 +42,9 @@ from .data import (
     training_windows,
 )
 from .errors import ConfigError, ParseError, ToolkitError
-from .filtering import METHODS, VANILLA, ModelFactory, RobustTrainConfig, robust_train
+from .filtering import (
+    METHODS, VANILLA, LossTrace, ModelFactory, RobustTrainConfig, robust_train,
+)
 from .metrics import auc_roc, best_f1, coverage
 from .models import MODEL_KINDS, TrainConfig, anomaly_scores, build_model
 from .seeding import derive_seed
@@ -196,7 +203,20 @@ def plan_cells(cfg: SweepConfig) -> list[CellCoord]:
 
 def cell_seed(cfg: SweepConfig, kind: str, method: str, ratio: float,
               rep: int) -> int:
-    return derive_seed(cfg.base_seed, kind, method, float(ratio), rep)
+    """A cell's seed. The method is left out: every method of a (kind,
+    ratio, rep) group gets the same seed, hence the same contamination,
+    trial trace, split and initialisations."""
+    return derive_seed(cfg.base_seed, kind, float(ratio), rep)
+
+
+@dataclass
+class CellGroup:
+    """What the cells of one (kind, ratio, rep) group share, made by the
+    first cell that needs it: the contaminated training windows with the
+    injected indices, and the trial trace of the filtering methods."""
+
+    contaminated: tuple[WindowSet, set[int]] | None = None
+    trace: LossTrace | None = None
 
 
 def run_cell(
@@ -206,21 +226,29 @@ def run_cell(
     ratio: float,
     rep: int,
     bundle: DataBundle,
+    group: CellGroup | None = None,
 ) -> ResultRow:
     """Run one sweep cell on prepare_data's bundle: contaminate,
-    robust-train, score, evaluate."""
+    robust-train, score, evaluate. The cells of one group may pass one
+    CellGroup to share its work; the rows are the same without it."""
+    group = CellGroup() if group is None else group
     seed = cell_seed(cfg, kind, method, ratio, rep)
     start = time.perf_counter()
     try:
-        if ratio > 0:
-            spec = ContaminationSpec(ratio, derive_seed(seed, "inject"),
-                                     bundle.pool)
-            train_ws, injected = inject_contamination(bundle.train_windows, spec)
-        else:
-            train_ws, injected = bundle.train_windows, set()
+        if group.contaminated is None:
+            if ratio > 0:
+                spec = ContaminationSpec(ratio, derive_seed(seed, "inject"),
+                                         bundle.pool)
+                group.contaminated = inject_contamination(bundle.train_windows,
+                                                          spec)
+            else:
+                group.contaminated = bundle.train_windows, set()
+        train_ws, injected = group.contaminated
         rc = cfg.train_config(method, derive_seed(seed, "train"))
         model, report = robust_train(_model_factory(cfg, kind, bundle),
-                                     train_ws, rc)
+                                     train_ws, rc, group.trace)
+        if report.trace is not None:
+            group.trace = report.trace
         scores = anomaly_scores(model, bundle.test)
         auc = auc_roc(scores, bundle.test.labels)
         f1, _threshold = best_f1(scores, bundle.test.labels)
@@ -231,9 +259,11 @@ def run_cell(
         return ResultRow(kind, method, float(ratio), seed, auc, f1, cov,
                          int(report.discard.size), wall)
     except ToolkitError as exc:
-        raise type(exc)(
-            f"cell model={kind} method={method} ratio={ratio:g} rep={rep}: {exc}"
-        ) from exc
+        raise type(exc)(f"{_cell_name(kind, method, ratio, rep)}: {exc}") from exc
+
+
+def _cell_name(kind: str, method: str, ratio: float, rep: int) -> str:
+    return f"cell model={kind} method={method} ratio={ratio:g} rep={rep}"
 
 
 def _model_factory(cfg: SweepConfig, kind: str, bundle: DataBundle) -> ModelFactory:
@@ -242,15 +272,30 @@ def _model_factory(cfg: SweepConfig, kind: str, bundle: DataBundle) -> ModelFact
                    cfg.horizon, tuple(cfg.hidden_sizes))
 
 
-def _run_cell_task(task: tuple[SweepConfig, str, str, float, int],
-                   bundle: DataBundle) -> ResultRow:
-    cfg, kind, method, ratio, rep = task
-    try:
-        return run_cell(cfg, kind, method, ratio, rep, bundle)
-    except ToolkitError as exc:
-        return ResultRow(kind, method, float(ratio),
-                         cell_seed(cfg, kind, method, ratio, rep),
-                         None, None, None, None, None, error=str(exc))
+# (config, kind, ratio, rep, the group's pending methods in config order)
+GroupTask = tuple[SweepConfig, str, float, int, tuple[str, ...]]
+
+
+def _run_group_task(task: GroupTask, bundle: DataBundle) -> list[ResultRow]:
+    """Run a group's pending cells, sharing one CellGroup. A cell that
+    raises becomes an NA row carrying the error, with the traceback of an
+    unexpected one; the group's other cells still run."""
+    cfg, kind, ratio, rep, methods = task
+    group = CellGroup()
+    rows = []
+    for method in methods:
+        try:
+            rows.append(run_cell(cfg, kind, method, ratio, rep, bundle, group))
+            continue
+        except ToolkitError as exc:
+            error = str(exc)
+        except Exception:
+            error = (f"{_cell_name(kind, method, ratio, rep)}: unexpected "
+                     f"error\n{traceback.format_exc().rstrip()}")
+        rows.append(ResultRow(kind, method, float(ratio),
+                              cell_seed(cfg, kind, method, ratio, rep),
+                              None, None, None, None, None, error=error))
+    return rows
 
 
 # a pool worker's copy of the sweep's bundle, set once by _init_worker
@@ -281,9 +326,9 @@ def _set_blas_threads(count: int) -> None:
                 return
 
 
-def _run_pooled_cell(task: tuple[SweepConfig, str, str, float, int]) -> ResultRow:
+def _run_pooled_group(task: GroupTask) -> list[ResultRow]:
     assert _worker_bundle is not None
-    return _run_cell_task(task, _worker_bundle)
+    return _run_group_task(task, _worker_bundle)
 
 
 def run_sweep(
@@ -294,15 +339,17 @@ def run_sweep(
 ) -> ExperimentResult:
     """Execute all planned cells, reusing completed rows from raw_path.
 
-    The dataset is prepared, and one model of each configured kind is built,
-    once before any cell runs, so dataset, label and architecture errors
-    raise instead of failing every cell, before raw_path's directory is
-    created. A forking pool starts all its workers at once, so at most one
-    per pending cell is asked for. Failures specific to one cell produce
-    rows with NA metrics (and a logged error) instead of aborting the
-    sweep; they are retried on the next resume. Unless record_timing is
-    set, wall times are written as NA so repeated sweeps with the same seed
-    produce byte-identical files.
+    Stored rows that match no planned (model, method, seed) are dropped
+    with a warning. The pending cells run as groups of one (kind, ratio,
+    rep) each. The dataset is prepared, and one model of each configured
+    kind is built, once before any cell runs, so dataset, label and
+    architecture errors raise instead of failing every cell, before
+    raw_path's directory is created. A forking pool starts all its workers
+    at once, so at most one per pending group is asked for. Any exception
+    in one cell produces a row with NA metrics (and a logged error)
+    instead of aborting the sweep; it is retried on the next resume.
+    Unless record_timing is set, wall times are written as NA so repeated
+    sweeps with the same seed produce byte-identical files.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -314,28 +361,41 @@ def run_sweep(
         by_seed = {(kind, method, cell_seed(cfg, kind, method, ratio, rep)):
                    (kind, method, ratio, rep)
                    for kind, method, ratio, rep in plan}
+        unplanned = 0
         for row in read_results_if_exists(raw_path):
             coord = by_seed.get((row.model, row.method, row.seed))
-            if row.ok and coord is not None:
+            if coord is None:
+                unplanned += 1
+            elif row.ok:
                 row.ratio = coord[2]
                 done[coord] = row
+        if unplanned:
+            logger.warning("%s: dropped %d stored rows that match no planned "
+                           "(model, method, seed); their cells are recomputed",
+                           raw_path, unplanned)
 
-    pending = [c for c in plan if c not in done]
+    groups: dict[tuple[str, float, int], list[str]] = {}
+    for kind, method, ratio, rep in plan:
+        if (kind, method, ratio, rep) not in done:
+            groups.setdefault((kind, ratio, rep), []).append(method)
     rows: list[ResultRow] = [done[c] for c in plan if c in done]
-    if pending:
+    if groups:
         bundle = prepare_data(cfg)
         for kind in cfg.model_kinds:  # an impossible architecture fails here
             _model_factory(cfg, kind, bundle)(0)
         if raw_path is not None:
             Path(raw_path).parent.mkdir(parents=True, exist_ok=True)
-        tasks = [(cfg, *coord) for coord in pending]
-        workers = min(workers, len(pending))
+        tasks = [(cfg, kind, ratio, rep, tuple(methods))
+                 for (kind, ratio, rep), methods in groups.items()]
+        workers = min(workers, len(tasks))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                      initargs=(bundle, workers)) as pool:
-                rows.extend(pool.map(_run_pooled_cell, tasks))
+                for group_rows in pool.map(_run_pooled_group, tasks):
+                    rows.extend(group_rows)
         else:
-            rows.extend(_run_cell_task(task, bundle) for task in tasks)
+            for task in tasks:
+                rows.extend(_run_group_task(task, bundle))
 
     for row in rows:
         if row.error:

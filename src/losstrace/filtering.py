@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -67,6 +67,8 @@ class FilterReport:
     s_m: np.ndarray  # sorted indices with m strictly above threshold_m
     s_v: np.ndarray
     discard: np.ndarray  # sorted; depends on method
+    # the trial trace m and v came from; not part of the audit record
+    trace: LossTrace | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -220,6 +222,7 @@ def robust_train(
     model_factory: ModelFactory,
     windows: WindowSet,
     config: RobustTrainConfig,
+    trace: LossTrace | None = None,
 ) -> tuple[TsadModel, FilterReport]:
     """Full robust-training pipeline.
 
@@ -228,8 +231,19 @@ def robust_train(
     optimizer) on the retained windows with a 4:1 train/validation split and
     early stopping. The vanilla method is exactly that final phase applied
     to all windows.
+
+    A given trace replaces the trial phase; it must be the one a trial phase
+    would record here (report.trace of an earlier call with these windows
+    and the same trial epochs and training seed). The trial phase does not
+    depend on the method, so every method can reuse one trace. A trace whose
+    shape does not fit the windows and trial epochs raises FilterError.
     """
     n = len(windows)
+    expected = (n, config.trial_epochs + 1)
+    if trace is not None and trace.losses.shape != expected:
+        raise FilterError(f"trace must be {expected} for {n} windows and "
+                          f"{config.trial_epochs} trial epochs, got "
+                          f"{trace.losses.shape}")
     if config.method == VANILLA:
         report = FilterReport(
             method=VANILLA, tau=config.tau, m=None, v=None,
@@ -239,11 +253,15 @@ def robust_train(
         )
         model = _train_final(model_factory, windows, config.train)
         return model, report
-    trial_cfg = replace(config.train, seed=derive_seed(config.train.seed, "trial"))
-    trace = record_trial_traces(model_factory, windows, config.trial_epochs, trial_cfg)
+    if trace is None:
+        trial_cfg = replace(config.train,
+                            seed=derive_seed(config.train.seed, "trial"))
+        trace = record_trial_traces(model_factory, windows,
+                                    config.trial_epochs, trial_cfg)
     report = select_discard(
         metric_m(trace), metric_v(trace), config.tau, config.method
     )
+    report.trace = trace
     retained = np.setdiff1d(np.arange(n, dtype=np.int64), report.discard)
     if retained.size < MIN_SPLIT_WINDOWS:
         raise FilterError(

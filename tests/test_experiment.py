@@ -5,6 +5,7 @@ import argparse
 import builtins
 import ctypes
 import dataclasses
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -41,6 +42,9 @@ def tiny_config(**overrides):
     return experiment.SweepConfig(**defaults)
 
 
+ALL_METHODS = ("vanilla", "m_only", "v_only", "combined")
+
+
 class TestSeedDerivation:
     def test_stable_across_calls(self):
         assert derive_seed(1, "a", 0.1, 3) == derive_seed(1, "a", 0.1, 3)
@@ -50,13 +54,20 @@ class TestSeedDerivation:
         # would silently break sweep resumability
         assert derive_seed(0, "probe") == 2724256618423675720
 
-    def test_distinct_cells_get_distinct_seeds(self):
-        cfg = tiny_config()
-        seeds = [
-            experiment.cell_seed(cfg, kind, method, ratio, rep)
-            for (kind, method, ratio, rep) in experiment.plan_cells(cfg)
-        ]
-        assert len(seeds) == len(set(seeds))
+    def test_groups_get_distinct_seeds_shared_by_their_methods(self):
+        cfg = tiny_config(model_kinds=("reconstruction", "prediction"),
+                          methods=ALL_METHODS)
+        plan = experiment.plan_cells(cfg)
+        by_group = {}
+        for kind, method, ratio, rep in plan:
+            seed = experiment.cell_seed(cfg, kind, method, ratio, rep)
+            by_group.setdefault((kind, ratio, rep), set()).add(seed)
+        assert len(by_group) == 2 * 2 * 2
+        assert all(len(seeds) == 1 for seeds in by_group.values())
+        assert len(set.union(*by_group.values())) == len(by_group)
+        keys = {(kind, method, experiment.cell_seed(cfg, kind, method, ratio, rep))
+                for kind, method, ratio, rep in plan}
+        assert len(keys) == len(plan)
 
     def test_type_tagging(self):
         assert derive_seed(1) != derive_seed("1")
@@ -253,10 +264,10 @@ class TestSweep:
 
         real_run_cell = experiment.run_cell
 
-        def flaky(cfg, kind, method, ratio, rep, data=None):
+        def flaky(cfg, kind, method, ratio, rep, data=None, group=None):
             if method == "combined" and ratio == 0.1 and rep == 0:
                 raise ConfigError("synthetic fault")
-            return real_run_cell(cfg, kind, method, ratio, rep, data)
+            return real_run_cell(cfg, kind, method, ratio, rep, data, group)
 
         monkeypatch.setattr(experiment, "run_cell", flaky)
         result = experiment.run_sweep(cfg, raw_path=str(path))
@@ -272,6 +283,98 @@ class TestSweep:
         resumed = experiment.run_sweep(cfg, raw_path=str(path))
         experiment.write_results(resumed, str(path))
         assert path.read_bytes() == reference
+
+    def test_unexpected_error_fails_one_cell_of_its_group(self, tmp_path,
+                                                            monkeypatch, caplog):
+        cfg = tiny_config(methods=ALL_METHODS)
+        path = tmp_path / "results.csv"
+        clean = experiment.run_sweep(cfg, raw_path=str(path))
+        experiment.write_results(clean, str(path))
+        reference = path.read_bytes()
+        path.unlink()
+
+        # m_only is the first filtering method of its group: v_only and
+        # combined must record the trace without it
+        seed = experiment.cell_seed(cfg, "reconstruction", "m_only", 0.1, 0)
+        real_robust_train = experiment.robust_train
+
+        def faulty(factory, windows, config, trace=None):
+            if (config.method == "m_only"
+                    and config.train.seed == derive_seed(seed, "train")):
+                raise RuntimeError("synthetic fault")
+            return real_robust_train(factory, windows, config, trace)
+
+        monkeypatch.setattr(experiment, "robust_train", faulty)
+        with caplog.at_level(logging.ERROR, logger="losstrace.experiment"):
+            result = experiment.run_sweep(cfg, raw_path=str(path))
+        bad = [r for r in result.rows if not r.ok]
+        assert len(bad) == 1
+        assert (bad[0].model, bad[0].method, bad[0].ratio, bad[0].seed) == (
+            "reconstruction", "m_only", 0.1, seed)
+        assert "RuntimeError: synthetic fault" in bad[0].error
+        assert "Traceback" in caplog.text and "synthetic fault" in caplog.text
+        assert [r for r in result.rows if r.ok] == [
+            r for r in clean.rows if (r.method, r.ratio, r.seed) != (
+                "m_only", 0.1, seed)]
+        experiment.write_results(result, str(path))
+
+        monkeypatch.setattr(experiment, "robust_train", real_robust_train)
+        resumed = experiment.run_sweep(cfg, raw_path=str(path))
+        experiment.write_results(resumed, str(path))
+        assert path.read_bytes() == reference
+
+    def test_resume_recomputes_one_cell_of_a_group(self, tmp_path, monkeypatch):
+        cfg = tiny_config(methods=ALL_METHODS)
+        path = tmp_path / "results.csv"
+        experiment.write_results(experiment.run_sweep(cfg), str(path))
+        full = path.read_bytes()
+        seed = experiment.cell_seed(cfg, "reconstruction", "m_only", 0.1, 1)
+        lines = full.decode().splitlines(keepends=True)
+        kept = [line for line in lines
+                if not line.startswith(f"reconstruction,m_only,0.1,{seed},")]
+        assert len(kept) == len(lines) - 1
+        path.write_text("".join(kept))
+
+        calls = []
+        real_run_cell = experiment.run_cell
+
+        def counted(cfg, kind, method, ratio, rep, bundle, group=None):
+            calls.append((kind, method, ratio, rep))
+            return real_run_cell(cfg, kind, method, ratio, rep, bundle, group)
+
+        monkeypatch.setattr(experiment, "run_cell", counted)
+        resumed = experiment.run_sweep(cfg, raw_path=str(path))
+        assert calls == [("reconstruction", "m_only", 0.1, 1)]
+        experiment.write_results(resumed, str(path))
+        assert path.read_bytes() == full
+
+    def test_resume_warns_about_unplanned_rows(self, tmp_path, caplog):
+        cfg = tiny_config()
+        path = tmp_path / "results.csv"
+        experiment.write_results(experiment.run_sweep(cfg), str(path))
+        full = path.read_bytes()
+        # rows whose seeds no planned cell has, as in a file written when
+        # seeds still depended on the method
+        header, *rows = full.decode().splitlines()
+        moved = []
+        for row in rows:
+            model, method, ratio, seed, rest = row.split(",", 4)
+            moved.append(",".join([model, method, ratio,
+                                   str(derive_seed(int(seed), method)), rest]))
+        path.write_text("\n".join([header, *moved]) + "\n")
+        with caplog.at_level(logging.WARNING, logger="losstrace.experiment"):
+            resumed = experiment.run_sweep(cfg, raw_path=str(path))
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert str(path) in warnings[0].getMessage()
+        assert f"dropped {len(rows)} stored rows" in warnings[0].getMessage()
+        experiment.write_results(resumed, str(path))
+        assert path.read_bytes() == full
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="losstrace.experiment"):
+            experiment.run_sweep(cfg, raw_path=str(path))
+        assert not caplog.records
 
     @pytest.mark.parametrize("writer", [
         "write_results", "write_summary", "write_csv", "save_checkpoint",
@@ -344,6 +447,33 @@ class TestSweep:
         serial = experiment.run_sweep(cfg, workers=1)
         parallel = experiment.run_sweep(cfg, workers=2)
         assert serial.rows == parallel.rows
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_rows_equal_cells_run_alone(self, workers, monkeypatch):
+        cfg = tiny_config(model_kinds=("reconstruction", "prediction"),
+                          methods=ALL_METHODS)
+        bundle = experiment.prepare_data(cfg)
+        alone = {}
+        for coord in experiment.plan_cells(cfg):
+            row = experiment.run_cell(cfg, *coord, bundle)
+            assert row.ok
+            alone[(row.model, row.method, row.ratio, row.seed)] = (
+                dataclasses.replace(row, wall_time_s=None))
+        assert len(alone) == 32
+
+        traces = []
+        real_record = filtering.record_trial_traces
+
+        def counted(*args, **kwargs):
+            traces.append(args)
+            return real_record(*args, **kwargs)
+
+        monkeypatch.setattr(filtering, "record_trial_traces", counted)
+        result = experiment.run_sweep(cfg, workers=workers)
+        assert {(r.model, r.method, r.ratio, r.seed): r
+                for r in result.rows} == alone
+        if workers == 1:  # one trial phase per (kind, ratio, rep) group
+            assert len(traces) == 2 * 2 * 2
 
     def test_zero_ratio_filtering_discards_quantile_share(self):
         # filtering on clean data still discards the quantile-mandated count

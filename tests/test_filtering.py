@@ -1,6 +1,7 @@
 """Loss-trace filtering: metric oracles, quantile rule, discard selection,
 robust-training pipeline semantics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -332,6 +333,45 @@ class TestRobustTrain:
         )
         _, report = filtering.robust_train(make_factory(), ws, cfg)
         assert planted <= set(report.discard.tolist())
+
+    def test_given_trace_reproduces_the_trial_phase(self):
+        ws = toy_windows(n=30, seed=9)
+        cfg = filtering.RobustTrainConfig(
+            train=models.TrainConfig(epochs=3, batch_size=8, seed=29),
+            trial_epochs=3,
+            method="combined",
+        )
+        model, report = filtering.robust_train(make_factory(), ws, cfg)
+        assert report.trace.losses.shape == (30, 4)
+        assert "trace" not in report.to_dict()
+        for method in ("m_only", "v_only", "combined"):
+            alone_cfg = dataclasses.replace(cfg, method=method)
+            alone, alone_report = filtering.robust_train(make_factory(), ws,
+                                                         alone_cfg)
+
+            def no_trial(*args, **kwargs):
+                raise AssertionError("the trial phase ran again")
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(filtering, "record_trial_traces", no_trial)
+                reused, reused_report = filtering.robust_train(
+                    make_factory(), ws, alone_cfg, trace=report.trace)
+            assert reused.net.flat.tobytes() == alone.net.flat.tobytes()
+            assert reused_report.to_dict() == alone_report.to_dict()
+            assert reused_report.trace is report.trace
+            assert (alone_report.trace.losses.tobytes()
+                    == report.trace.losses.tobytes())
+
+    @pytest.mark.parametrize("shape", [(29, 4), (31, 4), (30, 3), (30, 5)])
+    def test_trace_of_the_wrong_shape_rejected(self, shape):
+        ws = toy_windows(n=30, seed=9)
+        cfg = filtering.RobustTrainConfig(
+            train=models.TrainConfig(epochs=1, batch_size=8, seed=29),
+            trial_epochs=3,
+        )
+        trace = filtering.LossTrace(np.ones(shape))
+        with pytest.raises(FilterError, match=r"trace must be \(30, 4\)"):
+            filtering.robust_train(make_factory(), ws, cfg, trace=trace)
 
     def test_report_serialization(self, tmp_path):
         m = np.arange(1.0, 11.0)
