@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -28,13 +26,7 @@ from .data import (
     write_csv,
 )
 from .errors import ConfigError, ShapeError, ToolkitError
-from .experiment import (
-    OUT_DIR_ENV,
-    SweepConfig,
-    run_sweep,
-    write_results,
-    write_summary,
-)
+from .experiment import SweepConfig, run_sweep, write_results, write_summary
 from .filtering import METHODS, RobustTrainConfig, robust_train
 from .metrics import auc_roc, best_f1
 from .models import (
@@ -60,20 +52,13 @@ def _method_name(value: str) -> str:
     return name
 
 
-def _number_list(kind: type, what: str):
-    """argparse type for a comma-separated list of kind(...) values."""
-    def parse(text: str) -> tuple:
-        try:
-            return tuple(kind(p) for p in text.split(",") if p)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, "
-                                             f"got {text!r}") from None
-
-    return parse
-
-
-_int_list = _number_list(int, "integers")
-_float_list = _number_list(float, "numbers")
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type for a comma-separated list of integers."""
+    try:
+        return tuple(int(p) for p in text.split(",") if p)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, "
+                                         f"got {text!r}") from None
 
 
 def _str_list(text: str) -> tuple[str, ...]:
@@ -126,18 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--config", required=True, help="JSON sweep config")
     sw.add_argument("--seed", type=int, required=True,
                     help="base seed; cells derive their own seeds from it")
-    sw.add_argument("--out", help=f"output directory (overrides config and "
-                                  f"${OUT_DIR_ENV})")
+    sw.add_argument("--out", required=True, help="output directory")
     sw.add_argument("--workers", type=int, default=1)
     sw.add_argument("--record-timing", action="store_true",
                     help="write real wall times (output is then not "
                          "byte-reproducible)")
-    sw.add_argument("--ratios", type=_float_list)
-    sw.add_argument("--repetitions", type=int)
-    sw.add_argument("--methods", type=_str_list)
-    sw.add_argument("--model-kinds", type=_str_list)
-    sw.add_argument("--tau", type=float)
-    sw.add_argument("--trial-epochs", type=int)
     return parser
 
 
@@ -220,7 +198,6 @@ SWEEP_TYPES = {
     "dataset": dict, "model_kinds": [str], "methods": [str], "ratios": [float],
     "repetitions": int, "tau": float, "trial_epochs": int, "window": int,
     "horizon": int, "hidden_sizes": [int], "train_stride": int, "train": dict,
-    "out_dir": str,
 }
 TRAIN_TYPES = {"epochs": int, "batch_size": int, "learning_rate": float,
                "patience": int}
@@ -257,8 +234,8 @@ def _typed(path: str, where: str, block, types: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in block.items()}
 
 
-def load_sweep_config(path: str, base_seed: int) -> tuple[SweepConfig, str | None]:
-    """Parse the JSON sweep config; returns (config, out_dir or None).
+def load_sweep_config(path: str, base_seed: int) -> SweepConfig:
+    """Parse the JSON sweep config.
 
     Every key and the type of every value are checked here, so a config
     that loads can fail only on a value out of range.
@@ -268,10 +245,13 @@ def load_sweep_config(path: str, base_seed: int) -> tuple[SweepConfig, str | Non
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    # ValueError: malformed JSON or an integer too long to convert;
+    # RecursionError: arrays or objects nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     kwargs = _typed(path, "config", raw, SWEEP_TYPES)
-    out_dir = kwargs.pop("out_dir", None)
     kwargs.update(_typed(path, "train", kwargs.pop("train", {}), TRAIN_TYPES))
     if "dataset" not in kwargs:
         raise ConfigError(f"{path}: 'dataset' object is required")
@@ -284,26 +264,12 @@ def load_sweep_config(path: str, base_seed: int) -> tuple[SweepConfig, str | Non
         kwargs.update(_typed(path, "dataset", dataset, CSV_TYPES))
     if "methods" in kwargs:
         kwargs["methods"] = tuple(_method_name(m) for m in kwargs["methods"])
-    return SweepConfig(base_seed, **kwargs), out_dir
+    return SweepConfig(base_seed, **kwargs)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg, cfg_out_dir = load_sweep_config(args.config, args.seed)
-    overrides = {
-        "ratios": tuple(args.ratios) if args.ratios else None,
-        "repetitions": args.repetitions,
-        "methods": tuple(_method_name(m) for m in args.methods)
-        if args.methods else None,
-        "model_kinds": tuple(args.model_kinds) if args.model_kinds else None,
-        "tau": args.tau,
-        "trial_epochs": args.trial_epochs,
-    }
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    out_dir = args.out or os.environ.get(OUT_DIR_ENV) or cfg_out_dir
-    if not out_dir:
-        raise ConfigError("no output directory: pass --out, set "
-                          f"${OUT_DIR_ENV}, or put out_dir in the config")
-    out = Path(out_dir)
+    cfg = load_sweep_config(args.config, args.seed)
+    out = Path(args.out)
     raw_path = out / "results.csv"
     result = run_sweep(cfg, raw_path=str(raw_path), workers=args.workers,
                        record_timing=args.record_timing)

@@ -63,8 +63,6 @@ SUMMARY_HEADER = [
 ]
 NA = "NA"
 
-OUT_DIR_ENV = "LOSSTRACE_OUT_DIR"
-
 
 @dataclass
 class SweepConfig:
@@ -107,6 +105,16 @@ class SweepConfig:
         if not self.ratios or any(not 0.0 <= r <= 0.2 for r in self.ratios):
             raise ConfigError(f"ratios must be a non-empty subset of [0, 0.2], "
                               f"got {self.ratios}")
+        # a repeated entry would run its cells again; ratios are compared
+        # as results.csv and summary.csv write them
+        for key, entries, note in (
+                ("model_kinds", self.model_kinds, ""),
+                ("methods", self.methods, ""),
+                ("ratios", [f"{r:g}" for r in self.ratios], " (as %g)")):
+            repeated = sorted({e for e in entries if entries.count(e) > 1})
+            if repeated:
+                raise ConfigError(f"{key} lists {', '.join(repeated)} more "
+                                  f"than once{note}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         self.train_config(self.methods[0], 0)  # bad training values fail here
@@ -441,8 +449,10 @@ def read_results_if_exists(path: str) -> list[ResultRow]:
 
     A wrong header raises ConfigError. A file that is not UTF-8 CSV raises
     ParseError naming the file; a data row that cannot be parsed (missing
-    or extra cells, a malformed number), one naming the file and the
-    1-based data row.
+    or extra cells, a malformed number) or that no sweep writes (an auc,
+    best_f1 or coverage outside [0, 1], a negative discard_size, exactly
+    one of auc and best_f1 NA), one naming the file and the 1-based data
+    row.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -460,10 +470,20 @@ def read_results_if_exists(path: str) -> list[ResultRow]:
             if len(cells) != len(RAW_HEADER):
                 raise ValueError(f"{len(cells)} cells, expected {len(RAW_HEADER)}")
             model, method, ratio, seed, auc, f1, cov, discard, wall = cells
-            rows.append(ResultRow(
+            row = ResultRow(
                 model, method, float(ratio), int(seed), _parse(auc),
                 _parse(f1), _parse(cov), _parse(discard, int), _parse(wall),
-            ))
+            )
+            for name in ("auc", "best_f1", "coverage"):
+                value = getattr(row, name)
+                if value is not None and not 0.0 <= value <= 1.0:
+                    raise ValueError(f"{name} {value!r} is not in [0, 1]")
+            if row.discard_size is not None and row.discard_size < 0:
+                raise ValueError(f"discard_size {row.discard_size} is negative")
+            if (row.auc is None) != (row.best_f1 is None):
+                raise ValueError("auc and best_f1 must be both NA or both "
+                                 "numbers")
+            rows.append(row)
         except ValueError as exc:
             raise ParseError(f"{path}: data row {row_no}: {exc}") from None
     return rows

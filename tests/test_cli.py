@@ -9,9 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from losstrace import cli, data, models
 from losstrace.cli import cli_main
+from losstrace.errors import ToolkitError
+from losstrace.experiment import SweepConfig
 
 
 def run_cli(*argv):
@@ -30,26 +34,28 @@ def dataset_dir(tmp_path):
     return out
 
 
+SWEEP_CONFIG = {
+    "dataset": {
+        "synthetic": {
+            "channels": 2, "length": 600, "periods": [30],
+            "noise_sigma": 0.3, "anomaly_types": ["spike"],
+            "anomaly_rate": 0.05, "seed": 0,
+        }
+    },
+    "model_kinds": ["reconstruction"],
+    "methods": ["vanilla", "combined"],
+    "ratios": [0.0, 0.1],
+    "repetitions": 2,
+    "window": 6,
+    "train_stride": 6,
+    "hidden_sizes": [4],
+    "trial_epochs": 2,
+    "train": {"epochs": 3, "batch_size": 16, "patience": 2},
+}
+
+
 def sweep_config(tmp_path, **extra):
-    cfg = {
-        "dataset": {
-            "synthetic": {
-                "channels": 2, "length": 600, "periods": [30],
-                "noise_sigma": 0.3, "anomaly_types": ["spike"],
-                "anomaly_rate": 0.05, "seed": 0,
-            }
-        },
-        "model_kinds": ["reconstruction"],
-        "methods": ["vanilla", "combined"],
-        "ratios": [0.0, 0.1],
-        "repetitions": 2,
-        "window": 6,
-        "train_stride": 6,
-        "hidden_sizes": [4],
-        "trial_epochs": 2,
-        "train": {"epochs": 3, "batch_size": 16, "patience": 2},
-    }
-    cfg.update(extra)
+    cfg = {**SWEEP_CONFIG, **extra}
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -398,13 +404,35 @@ class TestSweepFailsBeforeWriting:
          "seed must be >= 0, got -1"),
         # 600 timesteps at window 6 and stride 150 give 4 windows
         ({"train_stride": 150}, "training needs at least 5 windows"),
+        # a repeated grid entry would run its cells again
+        ({"model_kinds": ["reconstruction", "reconstruction"],
+          "methods": ["vanilla", "combined", "combined"],
+          "ratios": [0.0, 0.1, 0.1]},
+         "model_kinds lists reconstruction more than once"),
+        ({"methods": ["vanilla", "combined", "combined"]},
+         "methods lists combined more than once"),
+        ({"methods": ["m", "m_only"]}, "methods lists m_only more than once"),
+        ({"ratios": [0.0, 0.1, 0.1]}, "ratios lists 0.1 more than once"),
+        ({"ratios": [0.1, 0.1000001]}, "ratios lists 0.1 more than once (as %g)"),
     ], ids=["synthetic", "hidden_sizes", "methods", "ratios", "window", "tau",
             "learning_rate_inf", "noise_sigma_inf", "window_0", "train_stride_0",
             "window_too_long", "no_hidden_layer", "hidden_size_0",
-            "seed_negative", "train_windows_too_few"])
+            "seed_negative", "train_windows_too_few", "repeated_grid",
+            "repeated_methods", "repeated_method_alias", "repeated_ratios",
+            "repeated_ratios_as_g"])
     def test_bad_config_value_creates_nothing(self, extra, needle, tmp_path, capsys):
         self.assert_aborted(sweep_config(tmp_path, **extra), tmp_path, capsys,
                             needle)
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b'{"dataset": "\xff"}')
+        self.assert_aborted(cfg, tmp_path, capsys, str(cfg), "not UTF-8 text")
+
+    def test_out_dir_key(self, tmp_path, capsys):
+        cfg = sweep_config(tmp_path, out_dir=str(tmp_path / "cfg_out"))
+        self.assert_aborted(cfg, tmp_path, capsys, "unknown config keys ['out_dir']")
+        assert not (tmp_path / "cfg_out").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one(self, workers, tmp_path, capsys):
@@ -415,8 +443,22 @@ class TestSweepFailsBeforeWriting:
         self.assert_failed(code, capsys, f"workers must be >= 1, got {workers}")
         assert not out.exists()
 
+    # one stored cell replaced: (data row, column, text, expected message)
+    CELL_DAMAGE = {
+        "non_numeric_auc": (1, 4, "not-a-number", "row 1"),
+        # values no sweep writes
+        "auc_above_one": (1, 4, "7.5", "row 1: auc 7.5 is not in [0, 1]"),
+        "auc_nan": (2, 4, "nan", "row 2: auc nan is not in [0, 1]"),
+        "auc_negative": (1, 4, "-0.5", "row 1: auc -0.5 is not in [0, 1]"),
+        "f1_inf": (1, 5, "inf", "row 1: best_f1 inf is not in [0, 1]"),
+        "coverage_above_one": (2, 6, "1.5", "row 2: coverage 1.5 is not in [0, 1]"),
+        "discard_negative": (1, 7, "-1", "row 1: discard_size -1 is negative"),
+        "f1_na": (2, 5, "NA", "row 2: auc and best_f1 must be both NA or both"),
+        "auc_na": (1, 4, "NA", "row 1: auc and best_f1 must be both NA or both"),
+    }
+
     @pytest.mark.parametrize("damage", ["truncated_row", "extra_cell",
-                                        "non_numeric_auc", "not_utf8"])
+                                        "not_utf8", *CELL_DAMAGE])
     def test_damaged_results_csv(self, damage, tmp_path, capsys):
         cfg = sweep_config(tmp_path, methods=["vanilla"], ratios=[0.0])
         out = tmp_path / "out"
@@ -428,19 +470,22 @@ class TestSweepFailsBeforeWriting:
             text = "\n".join(lines)[: -(len(lines[2]) // 2)]
         elif damage == "not_utf8":
             text = "\n".join(lines[:2]) + "\n\udcff\n"
+        elif damage == "extra_cell":
+            text = "\n".join([lines[0], lines[1] + ",1", lines[2]]) + "\n"
         else:
-            cells = lines[1].split(",")
-            if damage == "extra_cell":
-                cells.append("1")
-            else:
-                cells[4] = "not-a-number"
-            text = "\n".join([lines[0], ",".join(cells), lines[2]]) + "\n"
+            row, column, cell, _ = self.CELL_DAMAGE[damage]
+            cells = lines[row].split(",")
+            cells[column] = cell
+            lines[row] = ",".join(cells)
+            text = "\n".join(lines) + "\n"
         damaged = text.encode("utf-8", "surrogateescape")
         results.write_bytes(damaged)
         capsys.readouterr()
-        where = {"truncated_row": "row 2", "not_utf8": "not a readable CSV"}
+        where = {"truncated_row": "row 2", "not_utf8": "not a readable CSV",
+                 "extra_cell": "row 1",
+                 **{k: v[3] for k, v in self.CELL_DAMAGE.items()}}
         self.assert_failed(self.sweep(cfg, out), capsys, str(results),
-                           where.get(damage, "row 1"))
+                           where[damage])
         assert results.read_bytes() == damaged
 
 
@@ -455,34 +500,16 @@ class TestSweepCommand:
         assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
-    def test_flag_overrides(self, tmp_path):
-        cfg = sweep_config(tmp_path)
-        out = tmp_path / "res"
-        assert run_cli("sweep", "--config", str(cfg), "--seed", "7",
-                       "--out", str(out), "--ratios", "0.0",
-                       "--repetitions", "1", "--methods", "vanilla") == 0
-        lines = (out / "results.csv").read_text().splitlines()
-        assert len(lines) == 2  # header + one row
-
     def test_flagged_training_windows_at_ratio_zero(self, dataset_dir,
                                                     tmp_path):
-        cfg = sweep_config(tmp_path,
+        cfg = sweep_config(tmp_path, ratios=[0.0],
                            dataset=contaminated_dataset(dataset_dir, tmp_path))
         out = tmp_path / "res"
         assert run_cli("sweep", "--config", str(cfg), "--seed", "7",
-                       "--out", str(out), "--ratios", "0.0") == 0
+                       "--out", str(out)) == 0
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 5  # header, 2 methods x 2 repetitions
         assert all(line.split(",")[4] != "NA" for line in lines[1:])  # auc
-
-    def test_env_var_out_dir(self, tmp_path, monkeypatch):
-        cfg = sweep_config(tmp_path)
-        out = tmp_path / "env_out"
-        monkeypatch.setenv("LOSSTRACE_OUT_DIR", str(out))
-        assert run_cli("sweep", "--config", str(cfg), "--seed", "7",
-                       "--ratios", "0.0", "--repetitions", "1",
-                       "--methods", "vanilla") == 0
-        assert (out / "results.csv").exists()
 
     def test_unknown_config_key_fails_without_writes(self, tmp_path):
         cfg = sweep_config(tmp_path, bogus_key=1)
@@ -507,6 +534,92 @@ class TestSweepCommand:
         cfg = sweep_config(tmp_path)
         assert run_cli("sweep", "--config", str(cfg),
                        "--out", str(tmp_path / "o")) != 0
+
+    def test_out_is_mandatory(self, tmp_path):
+        cfg = sweep_config(tmp_path)
+        assert run_cli("sweep", "--config", str(cfg), "--seed", "7") == 2
+
+    def test_help_lists_run_settings_only(self, capsys):
+        assert run_cli("sweep", "--help") == 0
+        flags = {word.strip("[],") for word in capsys.readouterr().out.split()
+                 if word.strip("[],").startswith("--")}
+        assert flags == {"--help", "--config", "--seed", "--out", "--workers",
+                         "--record-timing"}
+
+    # the grid settings come from the config file only
+    @pytest.mark.parametrize("flag, value", [
+        ("--ratios", "0.0"), ("--repetitions", "1"), ("--methods", "vanilla"),
+        ("--model-kinds", "reconstruction"), ("--tau", "0.2"),
+        ("--trial-epochs", "2"),
+    ])
+    def test_grid_flag_is_rejected(self, flag, value, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", str(sweep_config(tmp_path)),
+                       "--seed", "7", "--out", str(out), flag, value) == 2
+        assert not out.exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["m", "m_only", "vanilla", "combined", "prediction",
+                       "reconstruction", "spike"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8)
+
+
+@st.composite
+def near_sweep_configs(draw):
+    """SWEEP_CONFIG with a few of its keys, at any level, removed or given
+    an arbitrary JSON value; unknown keys are added the same way."""
+    cfg = json.loads(json.dumps(SWEEP_CONFIG))
+    blocks = [cfg, cfg["train"], cfg["dataset"], cfg["dataset"]["synthetic"]]
+    for _ in range(draw(st.integers(1, 3))):
+        block = draw(st.sampled_from(blocks))
+        key = draw(st.sampled_from(sorted(block) + ["bogus", "out_dir",
+                                                    "train_csv", "test_csv"]))
+        if draw(st.booleans()):
+            block.pop(key, None)
+        else:
+            block[key] = draw(JSON_VALUES)
+    return cfg
+
+
+class TestLoadSweepConfig:
+    """Any file loads to a SweepConfig or fails with a ToolkitError whose
+    message fits on the one `error:` line the command prints."""
+
+    @staticmethod
+    def check(path, content: bytes, base_seed: int = 7):
+        path.write_bytes(content)
+        try:
+            assert isinstance(cli.load_sweep_config(str(path), base_seed),
+                              SweepConfig)
+        except ToolkitError as exc:
+            message = str(exc)
+            assert message and "\n" not in message
+            message.encode("utf-8")  # printable to stderr
+
+    @settings(max_examples=200, deadline=None)
+    @given(content=st.binary(max_size=64))
+    @example(content=b'{"dataset": "\xff"}')
+    @example(content=b"[" * 100_000)  # nested deeper than the parser recurses
+    @example(content=b'{"repetitions": ' + b"1" * 5000 + b"}")  # too long an int
+    def test_any_bytes(self, content, tmp_path_factory):
+        self.check(tmp_path_factory.getbasetemp() / "any-bytes.json", content)
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=JSON_VALUES)
+    def test_any_json_document(self, document, tmp_path_factory):
+        self.check(tmp_path_factory.getbasetemp() / "any-document.json",
+                   json.dumps(document).encode())
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=near_sweep_configs(), base_seed=st.integers(-1, 2**64))
+    @example(cfg=SWEEP_CONFIG, base_seed=7)
+    def test_near_valid_configs(self, cfg, base_seed, tmp_path_factory):
+        self.check(tmp_path_factory.getbasetemp() / "near-valid.json",
+                   json.dumps(cfg).encode(), base_seed)
 
 
 def test_ctrl_c_is_one_error_line(tmp_path, monkeypatch, capsys):

@@ -109,6 +109,8 @@ class TestPlanning:
             tiny_config(repetitions=0)
         with pytest.raises(ConfigError):
             tiny_config(synthetic=None)  # no dataset source at all
+        # ratios that stay distinct when written with %g
+        assert tiny_config(ratios=(0.1, 0.100001)).ratios == (0.1, 0.100001)
 
 
 class TestRunCell:
