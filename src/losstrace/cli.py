@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from functools import partial
@@ -41,14 +42,13 @@ from .models import (
 
 # short method names on the command line; internal names also accepted
 METHOD_ALIASES = {"m": "m_only", "v": "v_only"}
-CLI_METHODS = ("vanilla", "m", "v", "combined")
 
 
 def _method_name(value: str) -> str:
     name = METHOD_ALIASES.get(value, value)
     if name not in METHODS:
-        raise ConfigError(f"unknown method {value!r}; choose from "
-                          f"{CLI_METHODS} (or {METHODS})")
+        raise ConfigError(f"unknown method {value!r}; choose from {METHODS} "
+                          f"(or {tuple(METHOD_ALIASES)})")
     return name
 
 
@@ -72,32 +72,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every flag default is read from the dataclass that owns the setting
     gen = sub.add_parser("generate", help="write a synthetic benchmark to CSV")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--channels", type=int, default=4)
-    gen.add_argument("--length", type=int, default=20000)
-    gen.add_argument("--periods", type=_int_list, default=(50, 125))
-    gen.add_argument("--noise-sigma", type=float, default=0.3)
+    gen.add_argument("--channels", type=int, default=SyntheticConfig.channels)
+    gen.add_argument("--length", type=int, default=SyntheticConfig.length)
+    gen.add_argument("--periods", type=_int_list, default=SyntheticConfig.periods)
+    gen.add_argument("--noise-sigma", type=float, default=SyntheticConfig.noise_sigma)
     gen.add_argument("--anomaly-types", type=_str_list,
-                     default=("spike", "level_shift", "frequency_change"))
-    gen.add_argument("--anomaly-rate", type=float, default=0.05)
+                     default=SyntheticConfig.anomaly_types)
+    gen.add_argument("--anomaly-rate", type=float, default=SyntheticConfig.anomaly_rate)
     gen.add_argument("--seed", type=int, required=True)
 
     tr = sub.add_parser("train", help="robust-train one model on a CSV series")
     tr.add_argument("--train-csv", required=True)
     tr.add_argument("--model", choices=MODEL_KINDS, default=RECONSTRUCTION)
-    tr.add_argument("--window", type=int, default=16)
-    tr.add_argument("--horizon", type=int, default=1)
-    tr.add_argument("--hidden", type=_int_list, default=(32,))
-    tr.add_argument("--stride", type=int, default=1)
-    tr.add_argument("--method", choices=CLI_METHODS + ("m_only", "v_only"),
-                    default="combined")
-    tr.add_argument("--tau", type=float, default=0.2)
-    tr.add_argument("--trial-epochs", type=int, default=10)
-    tr.add_argument("--epochs", type=int, default=40)
-    tr.add_argument("--batch-size", type=int, default=64)
-    tr.add_argument("--learning-rate", type=float, default=1e-3)
-    tr.add_argument("--patience", type=int, default=5)
+    tr.add_argument("--window", type=int, default=SweepConfig.window)
+    tr.add_argument("--horizon", type=int, default=SweepConfig.horizon)
+    tr.add_argument("--hidden", type=_int_list, default=SweepConfig.hidden_sizes)
+    tr.add_argument("--stride", type=int, default=SweepConfig.train_stride)
+    tr.add_argument("--method", choices=(*METHODS, *METHOD_ALIASES),
+                    default=RobustTrainConfig.method)
+    tr.add_argument("--tau", type=float, default=RobustTrainConfig.tau)
+    tr.add_argument("--trial-epochs", type=int, default=RobustTrainConfig.trial_epochs)
+    tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    tr.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    tr.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    tr.add_argument("--patience", type=int, default=TrainConfig.patience)
     tr.add_argument("--seed", type=int, required=True)
     tr.add_argument("--checkpoint", required=True, help="model output path (.npz)")
     tr.add_argument("--report", help="filter report output path (JSON)")
@@ -120,15 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    cfg = SyntheticConfig(
-        channels=args.channels,
-        length=args.length,
-        periods=tuple(args.periods),
-        noise_sigma=args.noise_sigma,
-        anomaly_types=tuple(args.anomaly_types),
-        anomaly_rate=args.anomaly_rate,
-        seed=args.seed,
-    )
+    # the flags are named after SyntheticConfig's fields
+    cfg = SyntheticConfig(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(SyntheticConfig)})
     train, test = generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

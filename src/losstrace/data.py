@@ -277,9 +277,20 @@ class Normalizer:
     """Per-channel standardization fitted on training data."""
 
     mean: np.ndarray  # (d,)
-    std: np.ndarray  # (d,), floored at 1e-8
+    std: np.ndarray  # (d,), floored at STD_FLOOR
 
     STD_FLOOR = 1e-8
+
+    def __post_init__(self) -> None:
+        self.mean = np.asarray(self.mean, dtype=np.float64)
+        self.std = np.asarray(self.std, dtype=np.float64)
+        if self.mean.ndim != 1 or self.std.shape != self.mean.shape:
+            raise ConfigError(f"normalizer mean and std must be equal-length "
+                              f"vectors, got {self.mean.shape} and {self.std.shape}")
+        if not (np.isfinite([self.mean, self.std]).all()
+                and (self.std >= self.STD_FLOOR).all()):
+            raise ConfigError(f"normalizer values must be finite and every "
+                              f"std >= {self.STD_FLOOR:g}")
 
 
 def fit_normalizer(train: MultivariateSeries) -> Normalizer:
@@ -327,7 +338,10 @@ def make_windows(series: MultivariateSeries, window: int, stride: int = 1) -> Wi
     return WindowSet(window, data, flags, origins)
 
 
-ANOMALY_TYPES = ("spike", "level_shift", "frequency_change")
+# each anomaly type with its segment length range [low, high)
+SEGMENT_LENGTHS = {"spike": (4, 26), "level_shift": (20, 61),
+                   "frequency_change": (30, 81)}
+ANOMALY_TYPES = tuple(SEGMENT_LENGTHS)
 
 
 @dataclass
@@ -412,12 +426,7 @@ def generate_synthetic(
             raise ConfigError("could not place anomaly segments; rate too high "
                               "for the series length")
         kind = cfg.anomaly_types[rng.integers(len(cfg.anomaly_types))]
-        if kind == "spike":
-            seg_len = int(rng.integers(4, 26))
-        elif kind == "level_shift":
-            seg_len = int(rng.integers(20, 61))
-        else:
-            seg_len = int(rng.integers(30, 81))
+        seg_len = int(rng.integers(*SEGMENT_LENGTHS[kind]))
         start = int(rng.integers(0, cfg.length - seg_len))
         if labels[start : start + seg_len].any():
             continue
@@ -436,10 +445,8 @@ def generate_synthetic(
             ) + rng.normal(0.0, cfg.noise_sigma, size=(seg_len, cfg.channels))
         labels[seg] = 1
 
-    names = [f"c{i}" for i in range(cfg.channels)]
-    train = MultivariateSeries(train_vals, np.zeros(cfg.length, dtype=np.int8), names)
-    test = MultivariateSeries(test_vals, labels, names)
-    return train, test
+    train = MultivariateSeries(train_vals, np.zeros(cfg.length, dtype=np.int8))
+    return train, MultivariateSeries(test_vals, labels)
 
 
 @dataclass

@@ -22,6 +22,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -74,16 +75,16 @@ class SweepConfig:
     methods: tuple[str, ...] = METHODS
     ratios: tuple[float, ...] = DEFAULT_RATIOS
     repetitions: int = 5
-    tau: float = 0.2
-    trial_epochs: int = 10
+    tau: float = RobustTrainConfig.tau
+    trial_epochs: int = RobustTrainConfig.trial_epochs
     window: int = 16
     horizon: int = 1
     hidden_sizes: tuple[int, ...] = (32,)
     train_stride: int = 1
-    epochs: int = 40
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    patience: int = 5
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    patience: int = TrainConfig.patience
 
     def __post_init__(self) -> None:
         if self.base_seed < 0:
@@ -260,9 +261,8 @@ def run_cell(
         scores = anomaly_scores(model, bundle.test)
         auc = auc_roc(scores, bundle.test.labels)
         f1, _threshold = best_f1(scores, bundle.test.labels)
-        cov = None
-        if ratio > 0 and method != VANILLA:
-            cov = coverage(injected, report.discard.tolist())
+        cov = (None if method == VANILLA
+               else coverage(injected, report.discard.tolist()))
         wall = time.perf_counter() - start
         return ResultRow(kind, method, float(ratio), seed, auc, f1, cov,
                          int(report.discard.size), wall)
@@ -355,7 +355,9 @@ def run_sweep(
     raw_path's directory is created. A forking pool starts all its workers
     at once, so at most one per pending group is asked for. Any exception
     in one cell produces a row with NA metrics (and a logged error)
-    instead of aborting the sweep; it is retried on the next resume.
+    instead of aborting the sweep; it is retried on the next resume. A pool
+    worker that dies ends the sweep with a ToolkitError, and its rows are
+    lost.
     Unless record_timing is set, wall times are written as NA so repeated
     sweeps with the same seed produce byte-identical files.
     """
@@ -397,10 +399,16 @@ def run_sweep(
                  for (kind, ratio, rep), methods in groups.items()]
         workers = min(workers, len(tasks))
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                     initargs=(bundle, workers)) as pool:
-                for group_rows in pool.map(_run_pooled_group, tasks):
-                    rows.extend(group_rows)
+            try:
+                with ProcessPoolExecutor(max_workers=workers,
+                                         initializer=_init_worker,
+                                         initargs=(bundle, workers)) as pool:
+                    for group_rows in pool.map(_run_pooled_group, tasks):
+                        rows.extend(group_rows)
+            except BrokenProcessPool:
+                raise ToolkitError("a sweep worker process died (killed, or out of "
+                                   "memory?); this run's rows are lost and stored "
+                                   "results are unchanged: re-run the sweep") from None
         else:
             for task in tasks:
                 rows.extend(_run_group_task(task, bundle))
@@ -413,8 +421,8 @@ def run_sweep(
 
     kind_order = {k: i for i, k in enumerate(cfg.model_kinds)}
     method_order = {m: i for i, m in enumerate(cfg.methods)}
-    rows.sort(key=lambda r: (kind_order.get(r.model, 99),
-                             method_order.get(r.method, 99), r.ratio, r.seed))
+    rows.sort(key=lambda r: (kind_order[r.model], method_order[r.method],
+                             r.ratio, r.seed))
     return ExperimentResult(rows)
 
 

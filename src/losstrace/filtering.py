@@ -32,7 +32,8 @@ VANILLA = "vanilla"
 M_ONLY = "m_only"
 V_ONLY = "v_only"
 COMBINED = "combined"
-METHODS = (VANILLA, M_ONLY, V_ONLY, COMBINED)
+FILTER_METHODS = (M_ONLY, V_ONLY, COMBINED)
+METHODS = (VANILLA, *FILTER_METHODS)
 
 ModelFactory = Callable[[int], TsadModel]
 
@@ -60,13 +61,16 @@ class FilterReport:
 
     method: str
     tau: float
-    m: np.ndarray | None
-    v: np.ndarray | None
-    threshold_m: float | None
-    threshold_v: float | None
-    s_m: np.ndarray  # sorted indices with m strictly above threshold_m
-    s_v: np.ndarray
-    discard: np.ndarray  # sorted; depends on method
+    # the defaults are the report of a vanilla run, which filters nothing;
+    # s_m (s_v) holds the sorted indices with m (v) strictly above its
+    # threshold, discard the sorted indices the method drops
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    threshold_m: float | None = None
+    threshold_v: float | None = None
+    s_m: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    s_v: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    discard: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     # the trial trace m and v came from; not part of the audit record
     trace: LossTrace | None = field(default=None, repr=False)
 
@@ -167,16 +171,18 @@ def select_discard(
     """Pick the discard set from the two metrics.
 
     S_m holds samples with m strictly above the 1-tau quantile of m, S_v
-    likewise for v. The discard set is S_m, S_v, their union, or empty,
-    depending on the method. Ties at the threshold are retained.
+    likewise for v. The discard set is S_m, S_v or their union, depending
+    on the method. Ties at the threshold are retained. Vanilla filters
+    nothing, so its report is FilterReport(VANILLA, tau) and it is not a
+    method here.
     """
     m = np.asarray(m, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if m.shape != v.shape or m.ndim != 1 or m.size < 2:
         raise FilterError(f"m and v must be equal-length vectors with n >= 2, "
                           f"got {m.shape} and {v.shape}")
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    if method not in FILTER_METHODS:
+        raise ConfigError(f"method must be one of {FILTER_METHODS}, got {method!r}")
     q_m = quantile_threshold(m, 1.0 - tau)
     q_v = quantile_threshold(v, 1.0 - tau)
     s_m = np.flatnonzero(m > q_m)
@@ -185,10 +191,8 @@ def select_discard(
         discard = s_m
     elif method == V_ONLY:
         discard = s_v
-    elif method == COMBINED:
-        discard = np.union1d(s_m, s_v)
     else:
-        discard = np.empty(0, dtype=np.int64)
+        discard = np.union1d(s_m, s_v)
     if discard.size == m.size:
         raise FilterError("discard rule would remove every sample")
     return FilterReport(
@@ -245,14 +249,8 @@ def robust_train(
                           f"{config.trial_epochs} trial epochs, got "
                           f"{trace.losses.shape}")
     if config.method == VANILLA:
-        report = FilterReport(
-            method=VANILLA, tau=config.tau, m=None, v=None,
-            threshold_m=None, threshold_v=None,
-            s_m=np.empty(0, dtype=np.int64), s_v=np.empty(0, dtype=np.int64),
-            discard=np.empty(0, dtype=np.int64),
-        )
         model = _train_final(model_factory, windows, config.train)
-        return model, report
+        return model, FilterReport(VANILLA, config.tau)
     if trace is None:
         trial_cfg = replace(config.train,
                             seed=derive_seed(config.train.seed, "trial"))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .data import MultivariateSeries, Normalizer, WindowSet, replacing_file
-from .errors import ConfigError, ParseError, ShapeError, TrainingError
+from .errors import ConfigError, ParseError, ShapeError, ToolkitError, TrainingError
 
 RECONSTRUCTION = "reconstruction"
 PREDICTION = "prediction"
@@ -33,7 +33,7 @@ LOSS_PASS_ROWS = 1 << 15
 
 @dataclass
 class TrainConfig:
-    epochs: int = 50
+    epochs: int = 40
     batch_size: int = 64
     learning_rate: float = 1e-3
     patience: int = 5
@@ -59,24 +59,26 @@ class TsadModel:
     horizon: int = 0  # prediction models only
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {self.kind!r}")
-        w, d, h = self.window, self.channels, self.horizon
-        if self.kind == RECONSTRUCTION:
-            if self.net.input_size != w * d or self.net.output_size != w * d:
-                raise ConfigError(
-                    f"reconstruction net must map {w * d} -> {w * d}, got "
-                    f"{self.net.input_size} -> {self.net.output_size}"
-                )
-        else:
-            if not 1 <= h < w:
-                raise ConfigError(f"prediction horizon must satisfy "
-                                  f"1 <= h < w, got h={h} w={w}")
-            if self.net.input_size != (w - h) * d or self.net.output_size != h * d:
-                raise ConfigError(
-                    f"prediction net must map {(w - h) * d} -> {h * d}, got "
-                    f"{self.net.input_size} -> {self.net.output_size}"
-                )
+        n_in, n_out = _io_sizes(self.kind, self.window, self.channels, self.horizon)
+        if (self.net.input_size, self.net.output_size) != (n_in, n_out):
+            raise ConfigError(f"{self.kind} net must map {n_in} -> {n_out}, got "
+                              f"{self.net.input_size} -> {self.net.output_size}")
+
+
+def _io_sizes(kind: str, window: int, channels: int, horizon: int) -> tuple[int, int]:
+    """The input and output widths of a kind's net: a reconstruction net
+    maps the flattened window to itself, a prediction net its first w-h
+    steps to its last h (the horizon counts for prediction only)."""
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    if window < 1 or channels < 1:
+        raise ConfigError("window and channels must be positive")
+    if kind == RECONSTRUCTION:
+        return window * channels, window * channels
+    if not 1 <= horizon < window:
+        raise ConfigError(f"prediction horizon must satisfy 1 <= h < w, got "
+                          f"h={horizon} w={window}")
+    return (window - horizon) * channels, horizon * channels
 
 
 def build_model(
@@ -92,31 +94,15 @@ def build_model(
     Reconstruction models require a bottleneck: every hidden size must stay
     strictly below the flattened window size w*d.
     """
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    if window < 1 or channels < 1:
-        raise ConfigError("window and channels must be positive")
+    n_in, n_out = _io_sizes(kind, window, channels, horizon)
     if not hidden_sizes:
         raise ConfigError("need at least one hidden layer size")
-    if kind == RECONSTRUCTION:
-        flat = window * channels
-        if min(hidden_sizes) >= flat:
-            raise ConfigError(
-                f"reconstruction bottleneck {min(hidden_sizes)} must be "
-                f"smaller than the flattened window size {flat}"
-            )
-        sizes = [flat, *hidden_sizes, flat]
-        h = 0
-    else:
-        if not 1 <= horizon < window:
-            raise ConfigError(
-                f"prediction horizon must satisfy 1 <= h < w, got "
-                f"h={horizon} w={window}"
-            )
-        sizes = [(window - horizon) * channels, *hidden_sizes, horizon * channels]
-        h = horizon
-    net = nn.init_network(sizes, seed=seed)
-    return TsadModel(kind, net, window, channels, h)
+    if kind == RECONSTRUCTION and min(hidden_sizes) >= n_in:
+        raise ConfigError(f"reconstruction bottleneck {min(hidden_sizes)} must be "
+                          f"smaller than the flattened window size {n_in}")
+    net = nn.init_network([n_in, *hidden_sizes, n_out], seed=seed)
+    return TsadModel(kind, net, window, channels,
+                     horizon if kind == PREDICTION else 0)
 
 
 def _window_io(model: TsadModel, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,25 +180,21 @@ def fit(
     model: TsadModel,
     windows: WindowSet,
     config: TrainConfig,
-    val_windows: WindowSet | None = None,
+    val_windows: WindowSet,
 ) -> FitResult:
-    """Train for up to config.epochs with optional early stopping.
+    """Train for up to config.epochs with early stopping.
 
-    With a validation set, stops once the mean validation loss has not
-    improved for config.patience consecutive epochs and restores the best
-    parameters seen into model.net.
+    Stops once the mean validation loss has not improved for
+    config.patience consecutive epochs and restores the best parameters
+    seen into model.net.
     """
     best_val = np.inf
     best_epoch = -1
     best_params = np.empty_like(model.net.flat)
     history: list[float] = []
     state = nn.init_optimizer(model.net, config.learning_rate)
-    epochs_run = 0
     for epoch in range(config.epochs):
         train_epoch(model, state, windows, config, epoch)
-        epochs_run = epoch + 1
-        if val_windows is None:
-            continue
         val = float(np.mean(sample_losses(model, val_windows)))
         history.append(val)
         if val < best_val:
@@ -223,7 +205,7 @@ def fit(
             break
     if best_epoch >= 0:
         np.copyto(model.net.flat, best_params)
-    return FitResult(epochs_run, best_epoch, history)
+    return FitResult(len(history), best_epoch, history)
 
 
 def anomaly_scores(model: TsadModel, series: MultivariateSeries) -> np.ndarray:
@@ -303,13 +285,11 @@ def load_checkpoint(
     try:
         meta = json.loads(str(arrays["meta"]))
         if not isinstance(meta, dict):
-            raise ParseError(f"{path}: checkpoint metadata is not an object")
+            raise ParseError("checkpoint metadata is not an object")
         if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ConfigError(f"{path}: not a losstrace checkpoint")
+            raise ConfigError("not a losstrace checkpoint")
         if meta.get("version") != CHECKPOINT_VERSION:
-            raise ConfigError(
-                f"{path}: unsupported checkpoint version {meta.get('version')}"
-            )
+            raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
         layers = [
             nn.DenseLayer(arrays[f"w{i}"], arrays[f"b{i}"], act)
             for i, act in enumerate(meta["activations"])
@@ -322,6 +302,8 @@ def load_checkpoint(
             meta["kind"], net, meta["window"], meta["channels"], meta["horizon"]
         )
         return model, norm, meta["channel_names"]
+    except ToolkitError as exc:  # a check of the format, net or normalizer
+        raise type(exc)(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ParseError(f"{path}: incomplete checkpoint, no {exc} entry") from None
     except (ValueError, TypeError) as exc:

@@ -1,10 +1,13 @@
 """End-to-end CLI behavior through cli_main; one subprocess checks what a
 fresh interpreter imports."""
 
+import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from losstrace import cli, data, models
+from losstrace import cli, data, experiment, filtering, models
 from losstrace.cli import cli_main
 from losstrace.errors import ToolkitError
 from losstrace.experiment import SweepConfig
@@ -314,6 +317,33 @@ class TestFailuresExitOne:
         code = run_cli("evaluate", "--test-csv", str(tmp_path / "none.csv"),
                        "--checkpoint", str(checkpoint))
         self.assert_failed(code, capsys)
+
+    # a numpy warning would surface as an exception, not a stderr line
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry, damage", [
+        ("norm_std", lambda std: std.reshape(-1, 1)),
+        ("norm_std", lambda std: -np.ones_like(std)),
+        ("norm_std", np.zeros_like),
+        ("norm_std", lambda std: np.full_like(std, 1e-9)),
+        ("norm_std", lambda std: np.full_like(std, np.inf)),
+        ("norm_mean", lambda mean: np.full_like(mean, np.nan)),
+        ("norm_mean", lambda mean: mean[:1]),
+    ], ids=["std_column", "std_negative", "std_zero", "std_below_floor",
+            "std_inf", "mean_nan", "mean_short"])
+    def test_malformed_normalizer(self, entry, damage, checkpoint, dataset_dir,
+                                  capsys):
+        with np.load(checkpoint) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        arrays[entry] = damage(arrays[entry])
+        with open(checkpoint, "wb") as fh:
+            np.savez(fh, **arrays)
+        capsys.readouterr()
+        code = run_cli("evaluate", "--test-csv", str(dataset_dir / "test.csv"),
+                       "--checkpoint", str(checkpoint))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {checkpoint}: normalizer ")
+        assert err.count("\n") == 1
 
 
 class TestSweepFailsBeforeWriting:
@@ -622,6 +652,90 @@ class TestLoadSweepConfig:
                    json.dumps(cfg).encode(), base_seed)
 
 
+def test_dead_pool_worker_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """A worker that dies ends the sweep with exit 1 and one error line;
+    nothing is written and stored results stay as they were."""
+    cfg = sweep_config(tmp_path)
+    stored = tmp_path / "stored"
+    assert run_cli("sweep", "--config", str(cfg), "--seed", "7",
+                   "--out", str(stored)) == 0
+    # drop a row of a ratio-0 group and one of a ratio-0.1 group: the re-run
+    # has two groups to send to two workers
+    lines = (stored / "results.csv").read_text().splitlines(keepends=True)
+    (stored / "results.csv").write_text("".join(lines[:2] + lines[3:-1]))
+    before = {f: (stored / f).read_bytes() for f in ("results.csv", "summary.csv")}
+    run_group = experiment._run_group_task
+
+    def dies_at_ratio_0_1(task, bundle):
+        if task[2] > 0:
+            os._exit(3)
+        return run_group(task, bundle)
+
+    # forked workers inherit the patch
+    monkeypatch.setattr(experiment, "_run_group_task", dies_at_ratio_0_1)
+    for out in (stored, tmp_path / "fresh"):
+        capsys.readouterr()
+        code = run_cli("sweep", "--config", str(cfg), "--seed", "7",
+                       "--out", str(out), "--workers", "2")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: a sweep worker process died")
+        assert err.count("\n") == 1
+    assert {f: (stored / f).read_bytes() for f in before} == before
+    assert not list((tmp_path / "fresh").glob("*"))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="finds the pool workers through /proc")
+def test_ctrl_c_during_pooled_sweep(tmp_path):
+    """SIGINT to a pooled sweep's process group: exit 130, one error line
+    (no worker traceback), and the stored results.csv untouched."""
+    cfg = sweep_config(
+        tmp_path, model_kinds=["reconstruction", "prediction"], repetitions=4,
+        ratios=[0.0, 0.1, 0.2], train={"epochs": 40, "patience": 40},
+        dataset={"synthetic": {**SWEEP_CONFIG["dataset"]["synthetic"],
+                               "length": 3000}})
+    out = tmp_path / "res"
+    out.mkdir()
+    stored = ",".join(experiment.RAW_HEADER) + "\n"
+    (out / "results.csv").write_text(stored)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "losstrace.cli", "sweep", "--config", str(cfg),
+         "--seed", "7", "--out", str(out), "--workers", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+
+    def workers():
+        count = 0
+        for entry in os.listdir("/proc"):
+            try:
+                stat = Path("/proc", entry, "stat").read_text()
+            except OSError:  # not a process, or one that has ended
+                continue
+            count += int(stat.rsplit(")", 1)[1].split()[1]) == proc.pid
+        return count
+
+    try:
+        deadline = time.monotonic() + 60
+        while workers() < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(0.3)  # let the workers get into their first groups
+        assert proc.poll() is None, "the sweep ended before the signal"
+        os.killpg(proc.pid, signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert stderr == "error: interrupted\n"
+    assert stdout == ""
+    assert (out / "results.csv").read_text() == stored
+
+
 def test_ctrl_c_is_one_error_line(tmp_path, monkeypatch, capsys):
     def interrupted(args):
         raise KeyboardInterrupt
@@ -630,6 +744,32 @@ def test_ctrl_c_is_one_error_line(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run_cli("generate", "--out", str(tmp_path), "--seed", "1") == 130
     assert capsys.readouterr().err == "error: interrupted\n"
+
+
+def test_flag_defaults_are_the_dataclass_defaults():
+    """Each run-setting default is declared once, by the dataclass that
+    owns the setting; the flags and SweepConfig read it from there."""
+    parser = cli._build_parser()
+    gen = parser.parse_args(["generate", "--out", "o", "--seed", "0"])
+    for f in dataclasses.fields(data.SyntheticConfig):
+        if f.name != "seed":
+            assert getattr(gen, f.name) == f.default, f.name
+    train = parser.parse_args(["train", "--train-csv", "t.csv", "--seed", "0",
+                               "--checkpoint", "m.npz"])
+    rtc = filtering.RobustTrainConfig(models.TrainConfig())
+    sweep = SweepConfig(0, synthetic=data.SyntheticConfig())
+    expected = {
+        "window": sweep.window, "horizon": sweep.horizon,
+        "hidden": sweep.hidden_sizes, "stride": sweep.train_stride,
+        "method": rtc.method, "tau": rtc.tau, "trial_epochs": rtc.trial_epochs,
+        "epochs": rtc.train.epochs, "batch_size": rtc.train.batch_size,
+        "learning_rate": rtc.train.learning_rate, "patience": rtc.train.patience,
+    }
+    assert {k: getattr(train, k) for k in expected} == expected
+    assert (sweep.tau, sweep.trial_epochs) == (rtc.tau, rtc.trial_epochs)
+    assert sweep.train_config("combined", 0).train == dataclasses.replace(
+        rtc.train, seed=0)
+    assert train.epochs == sweep.epochs == models.TrainConfig().epochs == 40
 
 
 class TestArgParsing:

@@ -191,10 +191,15 @@ class TestSelectDiscard:
 
     def test_vanilla_discards_nothing(self):
         rng = np.random.default_rng(4)
-        report = filtering.select_discard(
-            rng.normal(size=20), rng.normal(size=20), tau=0.2, method="vanilla"
-        )
-        assert report.discard.size == 0
+        with pytest.raises(ConfigError, match="'vanilla'"):
+            filtering.select_discard(rng.normal(size=20), rng.normal(size=20),
+                                     tau=0.2, method="vanilla")
+        cfg = filtering.RobustTrainConfig(
+            train=models.TrainConfig(epochs=1, batch_size=8, seed=2),
+            tau=0.15, method="vanilla")
+        _, report = filtering.robust_train(make_factory(), toy_windows(n=20), cfg)
+        assert report.to_dict() == filtering.FilterReport("vanilla", 0.15).to_dict()
+        assert report.discard.size == 0 and report.discard.dtype == np.int64
 
     def test_identical_metrics_union_is_single_set(self):
         m = np.arange(1.0, 11.0)

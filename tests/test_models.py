@@ -263,12 +263,6 @@ class TestFit:
         # restored parameters reproduce the best recorded validation loss
         assert abs(models.sample_losses(m, val_ws).mean() - best) <= 1e-12
 
-    def test_fit_without_validation_runs_all_epochs(self):
-        ws = toy_windows(n=20, w=4, d=2)
-        m = models.build_model("reconstruction", 4, 2, hidden_sizes=(3,), seed=1)
-        result = models.fit(m, ws, models.TrainConfig(epochs=7, seed=0))
-        assert result.epochs_run == 7
-
 
 class TestAnomalyScores:
     def test_identity_model_scores_zero(self):
