@@ -27,7 +27,9 @@ from .data import (
     write_csv,
 )
 from .errors import ConfigError, ShapeError, ToolkitError
-from .experiment import SweepConfig, run_sweep, write_results, write_summary
+from .experiment import (
+    SweepConfig, one_blas_thread, run_sweep, write_results, write_summary,
+)
 from .filtering import METHODS, RobustTrainConfig, robust_train
 from .metrics import auc_roc, best_f1
 from .models import (
@@ -292,7 +294,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
-        return handlers[args.command](args)
+        with one_blas_thread():
+            return handlers[args.command](args)
     except (ToolkitError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 1

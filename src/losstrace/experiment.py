@@ -18,13 +18,14 @@ from __future__ import annotations
 import csv
 import ctypes
 import logging
-import os
 import time
 import traceback
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,10 @@ from .filtering import (
     METHODS, VANILLA, LossTrace, ModelFactory, RobustTrainConfig, robust_train,
 )
 from .metrics import auc_roc, best_f1, coverage
-from .models import MODEL_KINDS, TrainConfig, anomaly_scores, build_model
+from .models import (
+    DEFAULT_HIDDEN_SIZES, DEFAULT_HORIZON, MODEL_KINDS, TrainConfig, anomaly_scores,
+    build_model,
+)
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -78,8 +82,8 @@ class SweepConfig:
     tau: float = RobustTrainConfig.tau
     trial_epochs: int = RobustTrainConfig.trial_epochs
     window: int = 16
-    horizon: int = 1
-    hidden_sizes: tuple[int, ...] = (32,)
+    horizon: int = DEFAULT_HORIZON
+    hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN_SIZES
     train_stride: int = 1
     epochs: int = TrainConfig.epochs
     batch_size: int = TrainConfig.batch_size
@@ -158,6 +162,7 @@ class DataBundle:
     train_windows: WindowSet
     pool: WindowSet  # anomalous test windows, contamination source
     test: MultivariateSeries
+    test_windows: np.ndarray  # every stride-1 window of test, as scored
 
 
 def prepare_data(cfg: SweepConfig) -> DataBundle:
@@ -193,7 +198,7 @@ def prepare_data(cfg: SweepConfig) -> DataBundle:
     test = apply_normalizer(norm, test)
     test_windows = make_windows(test, cfg.window, 1)
     pool = test_windows.subset(np.flatnonzero(test_windows.flags == 1))
-    return DataBundle(train_windows, pool, test)
+    return DataBundle(train_windows, pool, test, test_windows.data)
 
 
 CellCoord = tuple[str, str, float, int]
@@ -258,7 +263,7 @@ def run_cell(
                                      train_ws, rc, group.trace)
         if report.trace is not None:
             group.trace = report.trace
-        scores = anomaly_scores(model, bundle.test)
+        scores = anomaly_scores(model, bundle.test, bundle.test_windows)
         auc = auc_roc(scores, bundle.test.labels)
         f1, _threshold = best_f1(scores, bundle.test.labels)
         cov = (None if method == VANILLA
@@ -310,28 +315,57 @@ def _run_group_task(task: GroupTask, bundle: DataBundle) -> list[ResultRow]:
 _worker_bundle: DataBundle | None = None
 
 
-def _init_worker(bundle: DataBundle, workers: int) -> None:
-    """Keep the bundle and run only this worker's share of the cores as
-    BLAS threads; idle helper threads of several workers would contend."""
+def _init_worker(bundle: DataBundle) -> None:
+    """Keep the bundle and run BLAS on one thread, as one_blas_thread
+    explains."""
     global _worker_bundle
     _worker_bundle = bundle
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    _set_blas_threads(max(1, cores // workers))
+    blas = _openblas_threads()
+    if blas is not None:
+        _get, set_threads = blas
+        set_threads(1)
 
 
-def _set_blas_threads(count: int) -> None:
-    """Set the thread count of the OpenBLAS bundled with numpy. Does
-    nothing if there is none: that costs speed, never a result."""
+@cache
+def _openblas_threads() -> tuple | None:
+    """The get and set thread-count functions of the OpenBLAS bundled with
+    numpy, or None if there is none."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_set_num_threads64_",
-                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn(ctypes.c_int(count))
-                return
+        for symbol in ("scipy_openblas_{}_num_threads64_",
+                       "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(handle, symbol.format("get"), None)
+            set_ = getattr(handle, symbol.format("set"), None)
+            if get is not None and set_ is not None:
+                get.restype = ctypes.c_int
+                set_.argtypes = [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block with numpy's bundled OpenBLAS on one thread, and give
+    the caller's thread count back however the block ends.
+
+    Every process that trains or scores runs BLAS on one thread; parallel
+    work comes only from sweep workers. Only the large loss passes are big
+    enough for OpenBLAS to thread, and after each one its idle helper
+    threads keep spinning on the other cores. Without OpenBLAS this does
+    nothing: that costs speed, never a result.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _run_pooled_group(task: GroupTask) -> list[ResultRow]:
@@ -402,7 +436,7 @@ def run_sweep(
             try:
                 with ProcessPoolExecutor(max_workers=workers,
                                          initializer=_init_worker,
-                                         initargs=(bundle, workers)) as pool:
+                                         initargs=(bundle,)) as pool:
                     for group_rows in pool.map(_run_pooled_group, tasks):
                         rows.extend(group_rows)
             except BrokenProcessPool:
@@ -410,8 +444,9 @@ def run_sweep(
                                    "memory?); this run's rows are lost and stored "
                                    "results are unchanged: re-run the sweep") from None
         else:
-            for task in tasks:
-                rows.extend(_run_group_task(task, bundle))
+            with one_blas_thread():
+                for task in tasks:
+                    rows.extend(_run_group_task(task, bundle))
 
     for row in rows:
         if row.error:

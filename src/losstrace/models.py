@@ -30,6 +30,11 @@ CHECKPOINT_VERSION = 1
 # batch passed today, since smaller slices can change the last bits of a loss
 LOSS_PASS_ROWS = 1 << 15
 
+# architecture defaults of build_model, which SweepConfig and the train
+# flags read
+DEFAULT_HORIZON = 1
+DEFAULT_HIDDEN_SIZES = (32,)
+
 
 @dataclass
 class TrainConfig:
@@ -85,8 +90,8 @@ def build_model(
     kind: str,
     window: int,
     channels: int,
-    horizon: int = 1,
-    hidden_sizes: tuple[int, ...] = (32,),
+    horizon: int = DEFAULT_HORIZON,
+    hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN_SIZES,
     seed: int = 0,
 ) -> TsadModel:
     """Construct a fresh model of the given kind.
@@ -130,7 +135,8 @@ def sample_losses(model: TsadModel, windows: WindowSet | np.ndarray) -> np.ndarr
     losses = []
     for part in np.array_split(batch, max(1, math.ceil(len(batch) / LOSS_PASS_ROWS))):
         x, y = _window_io(model, part)
-        diff = nn.forward_batch(model.net, x) - y
+        diff = nn.forward_batch(model.net, x)
+        diff -= y
         losses.append(np.mean(np.square(diff, out=diff), axis=1))
     return np.concatenate(losses)
 
@@ -208,11 +214,14 @@ def fit(
     return FitResult(len(history), best_epoch, history)
 
 
-def anomaly_scores(model: TsadModel, series: MultivariateSeries) -> np.ndarray:
+def anomaly_scores(model: TsadModel, series: MultivariateSeries,
+                   windows: np.ndarray | None = None) -> np.ndarray:
     """Per-timestep anomaly scores over a series.
 
     The model loss is computed for the window at every origin; a timestep's
-    score is the maximum loss over all windows covering it.
+    score is the maximum loss over all windows covering it. windows may
+    hold those (n, w, d) stride-1 windows, already cut: a contiguous copy
+    spares every loss pass copying the overlapping windows of the series.
     """
     w = model.window
     if series.channels != model.channels:
@@ -224,8 +233,13 @@ def anomaly_scores(model: TsadModel, series: MultivariateSeries) -> np.ndarray:
         raise ShapeError(
             f"series length {series.length} shorter than window {w}"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(series.values, w, axis=0)
-    losses = sample_losses(model, windows.transpose(0, 2, 1))
+    if windows is None:
+        windows = np.lib.stride_tricks.sliding_window_view(
+            series.values, w, axis=0).transpose(0, 2, 1)
+    elif len(windows) != series.length - w + 1:
+        raise ShapeError(f"{len(windows)} windows do not cover a series of "
+                         f"length {series.length} at stride 1")
+    losses = sample_losses(model, windows)
     scores = np.full(series.length, -np.inf)
     # window j covers timesteps j + shift for shift in 0..w-1
     n = losses.shape[0]

@@ -23,22 +23,23 @@ ACTIVATIONS = ("tanh", "relu", "identity")
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and offset
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def _act(name: str, z: np.ndarray) -> None:
+    """Apply the activation to the pre-activation z in place."""
     if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return z
+        np.tanh(z, out=z)
+    elif name == "relu":
+        np.maximum(z, 0.0, out=z)
 
 
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray | None:
-    """Derivative of the activation at pre-activation z (a = act(z)); None
-    for the identity, whose derivative is 1 (multiplying by 1.0 is exact, so
-    skipping it changes no result)."""
+def _act_grad(name: str, a: np.ndarray) -> np.ndarray | None:
+    """Derivative of the activation, from its output a; None for the
+    identity, whose derivative is 1 (multiplying by 1.0 is exact, so
+    skipping it changes no result). relu's a > 0 holds exactly where its
+    pre-activation is > 0."""
     if name == "tanh":
         return 1.0 - a * a
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)
     return None
 
 
@@ -164,21 +165,19 @@ def init_network(
     return DenseNet(layers, seed=seed)
 
 
-def _forward_cached(
-    net: DenseNet, x: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Forward pass keeping pre-activations and activations for backprop.
+def _forward_cached(net: DenseNet, x: np.ndarray) -> list[np.ndarray]:
+    """Forward pass keeping every layer's activations for backprop; each is
+    computed in place on its pre-activation, which is not kept.
 
-    Returns (zs, acts) where acts[0] is the input and acts[-1] the output.
+    Returns acts, where acts[0] is the input and acts[-1] the output.
     """
     acts = [x]
-    zs = []
     for layer in net.layers:
-        z = acts[-1] @ layer.weights
-        z += layer.bias
-        zs.append(z)
-        acts.append(_act(layer.activation, z))
-    return zs, acts
+        a = acts[-1] @ layer.weights
+        a += layer.bias
+        _act(layer.activation, a)
+        acts.append(a)
+    return acts
 
 
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
@@ -189,18 +188,19 @@ def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
             f"input of length {x.shape[0] if x.ndim == 1 else x.shape} "
             f"does not match network input size {net.input_size}"
         )
-    return _forward_cached(net, x)[1][-1]
+    return _forward_cached(net, x)[-1]
 
 
 def forward_batch(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a (batch, input_size) matrix of inputs."""
+    """Evaluate the network on a (batch, input_size) matrix of inputs; the
+    result is a fresh array the caller may overwrite."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_size:
         raise ShapeError(
             f"batch shape {x.shape} does not match network input size "
             f"{net.input_size}"
         )
-    return _forward_cached(net, x)[1][-1]
+    return _forward_cached(net, x)[-1]
 
 
 def mse_per_sample(prediction: np.ndarray, target: np.ndarray) -> float:
@@ -224,14 +224,14 @@ def _backprop(
 
     The one backprop routine: backward and train_step both call it.
     """
-    zs, acts = _forward_cached(net, x)
+    acts = _forward_cached(net, x)
     batch, k = targets.shape
     delta = acts[-1] - targets
     delta *= 2.0
     delta /= k * batch
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        slope = _act_grad(layer.activation, zs[i], acts[i + 1])
+        slope = _act_grad(layer.activation, acts[i + 1])
         if slope is not None:
             delta *= slope
         gw, gb = grads[i]

@@ -2,6 +2,7 @@
 fresh interpreter imports."""
 
 import dataclasses
+import inspect
 import json
 import os
 import signal
@@ -747,8 +748,9 @@ def test_ctrl_c_is_one_error_line(tmp_path, monkeypatch, capsys):
 
 
 def test_flag_defaults_are_the_dataclass_defaults():
-    """Each run-setting default is declared once, by the dataclass that
-    owns the setting; the flags and SweepConfig read it from there."""
+    """Each run-setting default is declared once, by the dataclass or
+    module that owns the setting; the flags, SweepConfig and build_model
+    read it from there."""
     parser = cli._build_parser()
     gen = parser.parse_args(["generate", "--out", "o", "--seed", "0"])
     for f in dataclasses.fields(data.SyntheticConfig):
@@ -770,6 +772,9 @@ def test_flag_defaults_are_the_dataclass_defaults():
     assert sweep.train_config("combined", 0).train == dataclasses.replace(
         rtc.train, seed=0)
     assert train.epochs == sweep.epochs == models.TrainConfig().epochs == 40
+    build = inspect.signature(models.build_model).parameters
+    assert (build["horizon"].default, build["hidden_sizes"].default) == (
+        sweep.horizon, sweep.hidden_sizes) == (train.horizon, train.hidden)
 
 
 class TestArgParsing:

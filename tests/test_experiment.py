@@ -15,7 +15,7 @@ import pytest
 
 from losstrace import cli, data, experiment, filtering, models
 from losstrace.data import SyntheticConfig
-from losstrace.errors import ConfigError
+from losstrace.errors import ConfigError, ToolkitError
 from losstrace.seeding import derive_seed
 
 
@@ -145,6 +145,26 @@ class TestRunCell:
             bundle, pool=bundle.pool.subset(np.empty(0, np.int64)))
         with pytest.raises(ConfigError, match="ratio=0.1"):
             experiment.run_cell(cfg, "reconstruction", "combined", 0.1, 0, bundle)
+
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_scores_the_bundle_windows(self, kind, monkeypatch):
+        """run_cell scores the stride-1 test windows prepare_data keeps,
+        with the scores anomaly_scores computes from the series alone."""
+        cfg = tiny_config(model_kinds=(kind,), horizon=2)
+        bundle = experiment.prepare_data(cfg)
+        scored = []
+
+        def recording(model, series, windows=None):
+            scores = models.anomaly_scores(model, series, windows)
+            scored.append((model, windows, scores))
+            return scores
+
+        monkeypatch.setattr(experiment, "anomaly_scores", recording)
+        assert experiment.run_cell(cfg, kind, "combined", 0.1, 0, bundle).ok
+        [(model, windows, scores)] = scored
+        assert windows is bundle.test_windows and windows.flags.c_contiguous
+        assert scores.tobytes() == models.anomaly_scores(model, bundle.test).tobytes()
 
 
 class TestPrepareData:
@@ -495,53 +515,151 @@ class TestSweep:
                 assert per_metric <= row.discard_size <= 2 * per_metric
 
 
-def _blas_threads():
-    """Thread count of the OpenBLAS bundled with numpy, or None."""
+def _blas_function(action):
+    """The get or set thread-count function of the OpenBLAS bundled with
+    numpy, or None; found apart from experiment's own lookup."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(handle, symbol, None)
+        for symbol in ("scipy_openblas_{}_num_threads64_",
+                       "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            fn = getattr(handle, symbol.format(action), None)
             if fn is not None:
-                fn.restype = ctypes.c_int
-                return int(fn())
+                return fn
     return None
+
+
+def _blas_threads():
+    """Thread count of the OpenBLAS bundled with numpy, or None."""
+    get = _blas_function("get")
+    if get is None:
+        return None
+    get.restype = ctypes.c_int
+    return int(get())
 
 
 def _worker_blas_threads(_):
     return _blas_threads()
 
 
+@pytest.fixture
+def caller_threads():
+    """Give the caller two BLAS threads where it can have them (one on a
+    one-core machine); yields the count, which is restored after."""
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    _blas_function("set")(ctypes.c_int(2))
+    yield _blas_threads()
+    _blas_function("set")(ctypes.c_int(before))
+
+
+def probe_blas_threads(monkeypatch, counts):
+    """Record the BLAS thread count at every training epoch and every loss
+    pass (validation and scoring) that models runs."""
+    for name in ("train_epoch", "sample_losses"):
+        real = getattr(models, name)
+
+        def probed(*args, _real=real, **kwargs):
+            counts.append(_blas_threads())
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(models, name, probed)
+
+
+class TestOneBlasThread:
+    """Every process that trains or scores runs BLAS on one thread, and a
+    caller gets its own thread count back."""
+
+    def test_serial_sweep(self, caller_threads, monkeypatch):
+        counts = []
+        probe_blas_threads(monkeypatch, counts)
+        result = experiment.run_sweep(tiny_config(), workers=1)
+        assert all(r.ok for r in result.rows)
+        assert len(counts) > len(result.rows) and set(counts) == {1}
+        assert _blas_threads() == caller_threads
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ToolkitError])
+    def test_serial_sweep_that_raises(self, error, caller_threads, monkeypatch):
+        def raising(*args, **kwargs):
+            assert _blas_threads() == 1
+            raise error("stop")
+
+        monkeypatch.setattr(models, "train_epoch", raising)
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                experiment.run_sweep(tiny_config(), workers=1)
+        else:  # a cell's ToolkitError becomes its NA row
+            rows = experiment.run_sweep(tiny_config(), workers=1).rows
+            assert rows and not any(r.ok for r in rows)
+        assert _blas_threads() == caller_threads
+
+    def test_cli_commands(self, tmp_path, caller_threads, monkeypatch):
+        counts = []
+        probe_blas_threads(monkeypatch, counts)
+        bench, model = tmp_path / "bench", str(tmp_path / "model.npz")
+        commands = [
+            ["generate", "--out", str(bench), "--channels", "2", "--length", "600",
+             "--periods", "30", "--anomaly-types", "spike", "--seed", "3"],
+            ["train", "--train-csv", str(bench / "train.csv"), "--window", "6",
+             "--stride", "6", "--hidden", "4", "--trial-epochs", "2",
+             "--epochs", "2", "--seed", "1", "--checkpoint", model],
+            ["evaluate", "--test-csv", str(bench / "test.csv"),
+             "--checkpoint", model],
+        ]
+        for argv in commands:
+            assert cli.cli_main(argv) == 0
+            assert _blas_threads() == caller_threads
+        assert len(counts) > 2 and set(counts) == {1}
+
+    @pytest.mark.parametrize("error, code", [(KeyboardInterrupt, 130),
+                                             (ToolkitError, 1)])
+    def test_cli_command_that_raises(self, error, code, caller_threads,
+                                     monkeypatch):
+        inside = []
+
+        def raising(args):
+            inside.append(_blas_threads())
+            raise error("stop")
+
+        monkeypatch.setattr(cli, "_cmd_generate", raising)
+        assert cli.cli_main(["generate", "--out", "unused", "--seed", "1"]) == code
+        assert inside == [1]
+        assert _blas_threads() == caller_threads
+
+    def test_without_openblas_nothing_changes(self, caller_threads, monkeypatch):
+        monkeypatch.setattr(experiment, "_openblas_threads", lambda: None)
+        with experiment.one_blas_thread():
+            assert _blas_threads() == caller_threads
+
+
 class TestPoolWorkers:
-    def test_workers_share_the_cores_as_blas_threads(self):
-        parent = _blas_threads()
-        if parent is None:
-            pytest.skip("numpy's bundled OpenBLAS not found")
-        cores = len(os.sched_getaffinity(0))
+    def test_workers_run_one_blas_thread(self, caller_threads):
         bundle = experiment.prepare_data(tiny_config())
         with ProcessPoolExecutor(max_workers=2,
                                  initializer=experiment._init_worker,
-                                 initargs=(bundle, cores)) as pool:
+                                 initargs=(bundle,)) as pool:
             counts = set(pool.map(_worker_blas_threads, range(2)))
         assert counts == {1}
-        assert _blas_threads() == parent
+        assert _blas_threads() == caller_threads
 
     @pytest.mark.parametrize("workers, cells, started", [
-        (8, 2, [(2, 2)]),  # capped at the pending cells
-        (2, 4, [(2, 2)]),
+        (8, 2, [2]),  # capped at the pending cells
+        (2, 4, [2]),
         (5, 1, []),  # one cell runs in this process
         (1, 4, []),
     ])
     def test_pool_starts_one_worker_per_pending_cell(self, workers, cells,
                                                      started, monkeypatch):
         """A forking pool starts max_workers processes at the first submit,
-        so max_workers and the BLAS share follow the pending cells."""
+        so max_workers follows the pending cells; each worker gets only the
+        bundle."""
         seen = []
 
         class SerialPool:
             def __init__(self, max_workers, initializer, initargs):
-                seen.append((max_workers, initargs[1]))
+                seen.append(max_workers)
+                assert len(initargs) == 1
                 monkeypatch.setattr(experiment, "_worker_bundle", initargs[0])
 
             def __enter__(self):

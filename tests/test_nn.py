@@ -3,6 +3,7 @@ oracles, optimizer behavior, and the flat parameter layout against a
 per-layer reference engine."""
 
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -293,12 +294,18 @@ def ref_layers(net):
     return [[l.weights.copy(), l.bias.copy(), l.activation] for l in net.layers]
 
 
+# the reference's own out-of-place activations: its z and a are always
+# separate arrays, while the engine computes a in place on z
+REF_ACTIVATIONS = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0),
+                   "identity": lambda z: z.copy()}
+
+
 def ref_forward_cached(layers, x):
     acts, zs = [x], []
     for w, b, act in layers:
         z = acts[-1] @ w + b
         zs.append(z)
-        acts.append(nn._act(act, z))
+        acts.append(REF_ACTIVATIONS[act](z))
     return zs, acts
 
 
@@ -419,6 +426,65 @@ class TestFlatEngineMatchesReference:
         assert result.best_epoch == best_epoch < result.epochs_run - 1
         assert result.val_history == history
         assert_same_parameters(model.net, best)
+
+
+def oracle_model(kind, activations, seed):
+    """A (window 5, 2 channels, horizon 2) model of the given kind whose net
+    has these activations."""
+    window, channels, horizon = 5, 2, (2 if kind == models.PREDICTION else 0)
+    n_in, n_out = models._io_sizes(kind, window, channels, horizon)
+    rng = np.random.default_rng(seed)
+    hidden = [int(rng.integers(2, 9)) for _ in activations[1:]]
+    net = nn.init_network([n_in, *hidden, n_out], activations, seed=seed)
+    return models.TsadModel(kind, net, window, channels, horizon)
+
+
+def ref_sample_losses(model, batch, rows):
+    """Out-of-place per-sample losses, over the equal slices of at most
+    rows windows that sample_losses cuts."""
+    layers = ref_layers(model.net)
+    split = model.window - model.horizon
+    losses = []
+    for part in np.array_split(batch, max(1, math.ceil(len(batch) / rows))):
+        n = len(part)
+        if model.kind == models.RECONSTRUCTION:
+            x = y = part.reshape(n, -1)
+        else:
+            x, y = part[:, :split].reshape(n, -1), part[:, split:].reshape(n, -1)
+        diff = ref_forward_cached(layers, x)[1][-1] - y
+        losses.append(np.mean(diff * diff, axis=1))
+    return np.concatenate(losses)
+
+
+class TestLeanLossPasses:
+    """forward_batch computes every activation in place on its
+    pre-activation, and sample_losses subtracts the targets in place; an
+    out-of-place reference must give the same bits, and the inputs must
+    come back untouched."""
+
+    @pytest.mark.parametrize("case", range(len(ORACLE_ACTIVATIONS)))
+    def test_forward_batch_bit_identical(self, case):
+        activations = ORACLE_ACTIVATIONS[case]
+        rng = np.random.default_rng(case)
+        sizes = [int(rng.integers(2, 9)) for _ in range(len(activations) + 1)]
+        net = nn.init_network(sizes, activations, seed=case)
+        x = rng.normal(size=(37, sizes[0]))
+        before = x.copy()
+        out = nn.forward_batch(net, x)
+        assert out.tobytes() == ref_forward_cached(ref_layers(net), x)[1][-1].tobytes()
+        assert x.tobytes() == before.tobytes() and not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("rows", [models.LOSS_PASS_ROWS, 5])  # 5: 5 slices
+    @pytest.mark.parametrize("case", range(len(ORACLE_ACTIVATIONS)))
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_sample_losses_bit_identical(self, kind, case, rows, monkeypatch):
+        model = oracle_model(kind, ORACLE_ACTIVATIONS[case], seed=case)
+        batch = np.random.default_rng(case).normal(size=(23, 5, 2))
+        before = batch.copy()
+        monkeypatch.setattr(models, "LOSS_PASS_ROWS", rows)
+        losses = models.sample_losses(model, batch)
+        assert losses.tobytes() == ref_sample_losses(model, batch, rows).tobytes()
+        assert batch.tobytes() == before.tobytes()
 
 
 class TestFlatLayout:
