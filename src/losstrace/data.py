@@ -66,8 +66,9 @@ class MultivariateSeries:
 class WindowSet:
     """Fixed-length windows cut from a series.
 
-    data is (n, w, d); flags[i] is 1 iff any timestep covered by window i is
-    labeled anomalous; origins are the starting timesteps, strictly increasing.
+    data is (n, w, d), possibly a read-only view of a series (make_windows);
+    flags[i] is 1 iff any timestep covered by window i is labeled anomalous;
+    origins are the starting timesteps, strictly increasing.
     """
 
     window: int
@@ -95,12 +96,11 @@ class WindowSet:
         return self.data.shape[2]
 
     def subset(self, indices: np.ndarray | list[int]) -> "WindowSet":
-        """New WindowSet restricted to the given ascending window indices."""
-        idx = np.asarray(sorted(indices), dtype=np.int64)
-        return WindowSet(
-            self.window, self.data[idx].copy(), self.flags[idx].copy(),
-            self.origins[idx].copy(),
-        )
+        """New WindowSet holding a contiguous copy of the given windows, in
+        ascending index order."""
+        idx = np.sort(np.asarray(indices, dtype=np.int64))
+        return WindowSet(self.window, self.data[idx], self.flags[idx],
+                         self.origins[idx])
 
 
 def load_csv(path: str) -> MultivariateSeries:
@@ -316,7 +316,9 @@ def apply_normalizer(norm: Normalizer, series: MultivariateSeries) -> Multivaria
 def make_windows(series: MultivariateSeries, window: int, stride: int = 1) -> WindowSet:
     """Cut windows at origins 0, stride, 2*stride, ... while they fit.
 
-    A window is flagged anomalous iff it overlaps any labeled timestep.
+    The windows are a read-only view of series.values: no timestep is
+    copied, however much the windows overlap. A window is flagged anomalous
+    iff it overlaps any labeled timestep.
     """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
@@ -329,7 +331,7 @@ def make_windows(series: MultivariateSeries, window: int, stride: int = 1) -> Wi
         )
     origins = np.arange(0, series.length - window + 1, stride, dtype=np.int64)
     swv = np.lib.stride_tricks.sliding_window_view(series.values, window, axis=0)
-    data = np.ascontiguousarray(swv[::stride].transpose(0, 2, 1))  # one copy
+    data = swv[::stride].transpose(0, 2, 1)
     if series.labels is not None:
         lab_win = np.lib.stride_tricks.sliding_window_view(series.labels, window)
         flags = (lab_win[origins].max(axis=1) > 0).astype(np.int8)
@@ -513,20 +515,19 @@ MIN_SPLIT_WINDOWS = 5
 
 
 def split_train_val(
-    windows: WindowSet, seed: int
-) -> tuple[WindowSet, WindowSet]:
-    """Uniform random 4:1 partition into (train, val); |val| = round(n/5)."""
-    n = len(windows)
+    rows: np.ndarray | list[int], seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform random 4:1 partition of ascending window indices into
+    (train rows, val rows), each ascending; |val| = round(n/5)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.size
     if n < MIN_SPLIT_WINDOWS:
         raise ConfigError(f"need at least {MIN_SPLIT_WINDOWS} windows to split "
                           f"4:1, got {n}")
     n_val = round(n / 5)
     rng = np.random.default_rng(seed)
-    val_idx = np.sort(rng.choice(n, size=n_val, replace=False))
-    mask = np.ones(n, dtype=bool)
-    mask[val_idx] = False
-    train_idx = np.flatnonzero(mask)
-    return windows.subset(train_idx), windows.subset(val_idx)
+    val_pos = np.sort(rng.choice(n, size=n_val, replace=False))
+    return np.delete(rows, val_pos), rows[val_pos]
 
 
 def training_windows(

@@ -198,7 +198,10 @@ def prepare_data(cfg: SweepConfig) -> DataBundle:
     test = apply_normalizer(norm, test)
     test_windows = make_windows(test, cfg.window, 1)
     pool = test_windows.subset(np.flatnonzero(test_windows.flags == 1))
-    return DataBundle(train_windows, pool, test, test_windows.data)
+    # a contiguous copy: every cell scores it, and loss passes run slower
+    # on the overlapping view
+    return DataBundle(train_windows, pool, test,
+                      np.ascontiguousarray(test_windows.data))
 
 
 CellCoord = tuple[str, str, float, int]

@@ -209,16 +209,19 @@ def select_discard(
 
 
 def _train_final(
-    model_factory: ModelFactory, windows: WindowSet, config: TrainConfig
+    model_factory: ModelFactory, windows: WindowSet, config: TrainConfig,
+    rows: np.ndarray,
 ) -> TsadModel:
-    """The shared final training phase: fresh model, 4:1 train/val split,
-    early-stopped fit on the training part."""
+    """The shared final training phase on the given ascending rows of
+    windows: fresh model, 4:1 train/val split of the rows, early-stopped fit
+    on the training rows. The training rows train in place, through fit's
+    mask; only the validation fifth is copied."""
     final_seed = derive_seed(config.seed, "final-model")
     split_seed = derive_seed(config.seed, "train-val-split")
     final_cfg = replace(config, seed=derive_seed(config.seed, "final-train"))
     model = model_factory(final_seed)
-    train_ws, val_ws = split_train_val(windows, split_seed)
-    fit(model, train_ws, final_cfg, val_windows=val_ws)
+    train_rows, val_rows = split_train_val(rows, split_seed)
+    fit(model, windows, final_cfg, windows.subset(val_rows), mask=train_rows)
     return model
 
 
@@ -249,7 +252,8 @@ def robust_train(
                           f"{config.trial_epochs} trial epochs, got "
                           f"{trace.losses.shape}")
     if config.method == VANILLA:
-        model = _train_final(model_factory, windows, config.train)
+        model = _train_final(model_factory, windows, config.train,
+                             np.arange(n, dtype=np.int64))
         return model, FilterReport(VANILLA, config.tau)
     if trace is None:
         trial_cfg = replace(config.train,
@@ -266,5 +270,5 @@ def robust_train(
             f"discarding {report.discard.size} of {n} windows leaves "
             f"{retained.size}; the final fit needs at least {MIN_SPLIT_WINDOWS}"
         )
-    model = _train_final(model_factory, windows.subset(retained), config.train)
+    model = _train_final(model_factory, windows, config.train, retained)
     return model, report

@@ -132,13 +132,17 @@ def sample_losses(model: TsadModel, windows: WindowSet | np.ndarray) -> np.ndarr
     """Per-sample losses of every window, in equal slices of <= LOSS_PASS_ROWS."""
     batch = windows.data if isinstance(windows, WindowSet) else np.asarray(windows)
     _check_batch(model, batch)
-    losses = []
-    for part in np.array_split(batch, max(1, math.ceil(len(batch) / LOSS_PASS_ROWS))):
-        x, y = _window_io(model, part)
-        diff = nn.forward_batch(model.net, x)
-        diff -= y
-        losses.append(np.mean(np.square(diff, out=diff), axis=1))
-    return np.concatenate(losses)
+    parts = np.array_split(batch, max(1, math.ceil(len(batch) / LOSS_PASS_ROWS)))
+    return np.concatenate([_slice_losses(model, part) for part in parts])
+
+
+def _slice_losses(model: TsadModel, part: np.ndarray) -> np.ndarray:
+    """Per-sample losses of one slice; its activations are freed on return,
+    so a pass holds one slice of them at a time."""
+    x, y = _window_io(model, part)
+    diff = nn.forward_batch(model.net, x)
+    diff -= y
+    return np.mean(np.square(diff, out=diff), axis=1)
 
 
 def train_epoch(
@@ -162,7 +166,7 @@ def train_epoch(
     if mask is None:
         order = np.arange(len(windows), dtype=np.int64)
     else:
-        order = np.asarray(sorted(mask), dtype=np.int64)
+        order = np.sort(np.asarray(mask, dtype=np.int64))
         if order.size == 0:
             raise TrainingError("empty training mask")
         if order[0] < 0 or order[-1] >= len(windows):
@@ -187,10 +191,12 @@ def fit(
     windows: WindowSet,
     config: TrainConfig,
     val_windows: WindowSet,
+    mask: np.ndarray | list[int] | None = None,
 ) -> FitResult:
     """Train for up to config.epochs with early stopping.
 
-    Stops once the mean validation loss has not improved for
+    Only the windows listed in mask train (None means all), as in
+    train_epoch. Stops once the mean validation loss has not improved for
     config.patience consecutive epochs and restores the best parameters
     seen into model.net.
     """
@@ -200,7 +206,7 @@ def fit(
     history: list[float] = []
     state = nn.init_optimizer(model.net, config.learning_rate)
     for epoch in range(config.epochs):
-        train_epoch(model, state, windows, config, epoch)
+        train_epoch(model, state, windows, config, epoch, mask)
         val = float(np.mean(sample_losses(model, val_windows)))
         history.append(val)
         if val < best_val:

@@ -277,6 +277,27 @@ class TestMakeWindows:
         assert len(ws) == 2
         assert np.array_equal(ws.data[1], s.values[2:5])
 
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
+    def test_read_only_view_of_normalized_series(self, stride):
+        raw = series(np.random.default_rng(stride).normal(size=(13, 2)))
+        normed = data.apply_normalizer(data.fit_normalizer(raw), raw)
+        ws = data.make_windows(normed, 4, stride)
+        assert np.shares_memory(ws.data, normed.values)
+        assert not ws.data.flags.writeable
+        with pytest.raises(ValueError):
+            ws.data[0, 0, 0] = 1.0
+        for window, origin in zip(ws.data, ws.origins):
+            assert np.array_equal(window, normed.values[origin : origin + 4])
+
+    def test_subset_copies(self):
+        s = series(np.arange(24.0).reshape(12, 2))
+        ws = data.make_windows(s, 4, 2)
+        sub = ws.subset([3, 0, 2])
+        assert sub.origins.tolist() == [0, 4, 6]
+        assert not np.shares_memory(sub.data, s.values)
+        assert sub.data.flags.c_contiguous
+        assert np.array_equal(sub.data, ws.data[[0, 2, 3]])
+
     def test_window_too_long(self):
         s = series(np.zeros((4, 1)))
         with pytest.raises(ConfigError):
@@ -483,16 +504,16 @@ class TestInjectContamination:
 
 class TestSplitTrainVal:
     def test_ten_windows(self):
-        train, val = data.split_train_val(normal_windows(10), seed=1)
+        train, val = data.split_train_val(np.arange(10), seed=1)
         assert len(train) == 8 and len(val) == 2
 
     def test_five_windows(self):
-        train, val = data.split_train_val(normal_windows(5), seed=1)
+        train, val = data.split_train_val(np.arange(5), seed=1)
         assert len(train) == 4 and len(val) == 1
 
     def test_too_few(self):
         with pytest.raises(ConfigError):
-            data.split_train_val(normal_windows(4), seed=1)
+            data.split_train_val(np.arange(4), seed=1)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -500,10 +521,12 @@ class TestSplitTrainVal:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_disjoint_union(self, n, seed):
-        ws = normal_windows(n)
-        train, val = data.split_train_val(ws, seed=seed)
+        rows = np.arange(n, dtype=np.int64) * 4  # rows, not positions
+        train, val = data.split_train_val(rows, seed=seed)
         assert len(val) == round(n / 5)
-        t_or = set(train.origins.tolist())
-        v_or = set(val.origins.tolist())
-        assert not (t_or & v_or)
-        assert t_or | v_or == set(ws.origins.tolist())
+        assert not (set(train.tolist()) & set(val.tolist()))
+        assert set(train.tolist()) | set(val.tolist()) == set(rows.tolist())
+        assert (np.diff(train) > 0).all() and (np.diff(val) > 0).all()
+        again = data.split_train_val(rows.tolist(), seed=seed)
+        assert train.tobytes() == again[0].tobytes()
+        assert val.tobytes() == again[1].tobytes()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from losstrace import data, filtering, models, nn
 from losstrace.errors import ConfigError, FilterError
+from losstrace.seeding import derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ class TestRobustTrain:
         )
         model, report = filtering.robust_train(factory, ws, cfg)
         assert report.discard.size == 0 and report.m is None
-        direct = filtering._train_final(factory, ws, cfg.train)
+        direct = filtering._train_final(factory, ws, cfg.train, np.arange(24))
         for p, q in zip(model.net.parameters(), direct.net.parameters()):
             assert p.tobytes() == q.tobytes()
 
@@ -315,11 +316,63 @@ class TestRobustTrain:
             ws.window, ws.data.copy(), ws.flags.copy(), ws.origins.copy()
         )
         poisoned.data[report.discard] = 1e6
-        rebuilt = filtering._train_final(
-            make_factory(), poisoned.subset(retained), cfg.train
-        )
+        rebuilt = filtering._train_final(make_factory(), poisoned, cfg.train,
+                                         retained)
         for p, q in zip(model_a.net.parameters(), rebuilt.net.parameters()):
             assert p.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    @pytest.mark.parametrize("method", filtering.METHODS)
+    def test_checkpoint_matches_physically_reduced_reference(
+            self, kind, method, tmp_path):
+        """robust_train on overlapping window views writes the checkpoint of
+        the copying final phase: the retained windows copied out, that copy
+        split 4:1 into two more copies, the fit run on the training copy."""
+        rng = np.random.default_rng(5)
+        t = np.arange(240, dtype=np.float64)[:, None]
+        values = np.sin(t / np.array([5.0, 9.0])) + 0.2 * rng.normal(size=(240, 2))
+        series = data.MultivariateSeries(values)
+        ws = data.make_windows(series, 6, 2)  # stride below the window
+        assert np.shares_memory(ws.data, series.values)
+
+        def factory(seed):
+            return models.build_model(kind, 6, 2, horizon=2, hidden_sizes=(5,),
+                                      seed=seed)
+
+        cfg = filtering.RobustTrainConfig(
+            train=models.TrainConfig(epochs=4, batch_size=16, patience=2,
+                                     seed=29),
+            trial_epochs=3, method=method)
+        model, report = filtering.robust_train(factory, ws, cfg)
+
+        copied = data.WindowSet(6, np.ascontiguousarray(ws.data), ws.flags,
+                                ws.origins)
+        kept = copied.subset(np.setdiff1d(np.arange(len(ws)), report.discard))
+        if method != filtering.VANILLA:
+            trial_cfg = dataclasses.replace(
+                cfg.train, seed=derive_seed(cfg.train.seed, "trial"))
+            trace = filtering.record_trial_traces(factory, copied,
+                                                  cfg.trial_epochs, trial_cfg)
+            expected = filtering.select_discard(
+                filtering.metric_m(trace), filtering.metric_v(trace), cfg.tau,
+                method)
+            assert report.discard.tolist() == expected.discard.tolist()
+            assert report.discard.size > 0
+        split_rng = np.random.default_rng(
+            derive_seed(cfg.train.seed, "train-val-split"))
+        val_pos = np.sort(split_rng.choice(len(kept), size=round(len(kept) / 5),
+                                           replace=False))
+        train_pos = np.setdiff1d(np.arange(len(kept)), val_pos)
+        reference = factory(derive_seed(cfg.train.seed, "final-model"))
+        final_cfg = dataclasses.replace(
+            cfg.train, seed=derive_seed(cfg.train.seed, "final-train"))
+        models.fit(reference, kept.subset(train_pos), final_cfg,
+                   val_windows=kept.subset(val_pos))
+
+        models.save_checkpoint(model, str(tmp_path / "robust.npz"))
+        models.save_checkpoint(reference, str(tmp_path / "reference.npz"))
+        assert ((tmp_path / "robust.npz").read_bytes()
+                == (tmp_path / "reference.npz").read_bytes())
 
     def test_discard_covers_planted_outliers(self):
         rng = np.random.default_rng(8)

@@ -2,6 +2,7 @@
 scoring, checkpointing."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,24 @@ class TestLossPassSlices:
         if n > 5:
             assert min(rows) >= 5 // 2
 
+    def test_pass_holds_one_slice(self, monkeypatch):
+        """Each slice's activations are freed before the next slice runs.
+        A reconstruction model's losses do not depend on the slice size."""
+        rows, w, d, hidden = 2000, 8, 4, 4
+        m = models.build_model("reconstruction", w, d, hidden_sizes=(hidden,),
+                               seed=1)
+        batch = np.random.default_rng(0).normal(size=(3 * rows, w, d))
+        monkeypatch.setattr(models, "LOSS_PASS_ROWS", rows)
+        slice_bytes = rows * (hidden + w * d) * batch.itemsize
+        models.sample_losses(m, batch)  # first-call allocations
+        tracemalloc.start()
+        try:
+            models.sample_losses(m, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * slice_bytes
+
     def test_sliced_scores_match(self, monkeypatch):
         m = models.build_model("prediction", 6, 2, horizon=2, hidden_sizes=(4,), seed=2)
         series = toy_series(t=50, d=2, seed=3)
@@ -253,11 +272,12 @@ class TestFit:
     def test_early_stopping_restores_best(self):
         series = toy_series(t=160, d=1, seed=9)
         ws = data.make_windows(series, 6, 1)
-        train_ws, val_ws = data.split_train_val(ws, seed=4)
+        train_rows, val_rows = data.split_train_val(np.arange(len(ws)), seed=4)
+        val_ws = ws.subset(val_rows)
         m = models.build_model("reconstruction", 6, 1, hidden_sizes=(4,), seed=3)
         cfg = models.TrainConfig(epochs=60, batch_size=16, learning_rate=5e-3,
                                  patience=3, seed=2)
-        result = models.fit(m, train_ws, cfg, val_windows=val_ws)
+        result = models.fit(m, ws, cfg, val_windows=val_ws, mask=train_rows)
         assert result.epochs_run <= cfg.epochs
         best = min(result.val_history)
         # restored parameters reproduce the best recorded validation loss

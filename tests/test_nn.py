@@ -394,7 +394,8 @@ class TestFlatEngineMatchesReference:
         rng = np.random.default_rng(4)
         values = np.sin(np.arange(170) / 4.0)[:, None] + 0.6 * rng.normal(size=(170, 1))
         ws = data.make_windows(data.MultivariateSeries(values), 6, 1)
-        train_ws, val_ws = data.split_train_val(ws, seed=4)
+        train_rows, val_rows = data.split_train_val(np.arange(len(ws)), seed=4)
+        val_ws = ws.subset(val_rows)
         model = models.build_model("reconstruction", 6, 1, hidden_sizes=(4,), seed=3)
         cfg = models.TrainConfig(epochs=60, batch_size=16, learning_rate=2e-2,
                                  patience=3, seed=2)
@@ -408,10 +409,10 @@ class TestFlatEngineMatchesReference:
 
         best_val, best_epoch, best, history = np.inf, -1, None, []
         for epoch in range(cfg.epochs):
-            order = np.arange(len(train_ws), dtype=np.int64)
-            order = order[np.random.default_rng([cfg.seed, epoch]).permutation(order.size)]
+            perm = np.random.default_rng([cfg.seed, epoch]).permutation(train_rows.size)
+            order = train_rows[perm]
             for start in range(0, order.size, cfg.batch_size):
-                x = train_ws.data[order[start:start + cfg.batch_size]]
+                x = ws.data[order[start:start + cfg.batch_size]]
                 x = x.reshape(x.shape[0], -1)
                 ref.step(layers, ref_backward_batch(layers, x, x))
             history.append(ref_val_loss())
@@ -421,7 +422,7 @@ class TestFlatEngineMatchesReference:
             elif epoch - best_epoch >= cfg.patience:
                 break
 
-        result = models.fit(model, train_ws, cfg, val_windows=val_ws)
+        result = models.fit(model, ws, cfg, val_windows=val_ws, mask=train_rows)
         assert result.epochs_run == len(history) < cfg.epochs  # stopped early
         assert result.best_epoch == best_epoch < result.epochs_run - 1
         assert result.val_history == history
