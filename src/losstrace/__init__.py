@@ -35,6 +35,7 @@ from .filtering import (
     FilterReport,
     LossTrace,
     RobustTrainConfig,
+    final_fit,
     metric_m,
     metric_v,
     quantile_threshold,
@@ -44,6 +45,7 @@ from .filtering import (
 )
 from .metrics import auc_roc, best_f1, coverage
 from .models import (
+    FitResult,
     TrainConfig,
     TsadModel,
     anomaly_scores,

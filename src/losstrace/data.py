@@ -429,6 +429,8 @@ def generate_synthetic(
                               "for the series length")
         kind = cfg.anomaly_types[rng.integers(len(cfg.anomaly_types))]
         seg_len = int(rng.integers(*SEGMENT_LENGTHS[kind]))
+        if seg_len >= cfg.length:  # no start fits: a failed attempt
+            continue
         start = int(rng.integers(0, cfg.length - seg_len))
         if labels[start : start + seg_len].any():
             continue

@@ -7,10 +7,10 @@ summary CSV suitable for plotting metric-vs-ratio curves. The cells of one
 the base seed and those coordinates alone: every method trains on the same
 contaminated windows, with the same split and initialisations, so the
 methods' rows are paired. The group is the unit of work, serial and
-pooled; its first filtering method records the trial trace and the others
-reuse it. Results do not depend on execution order or worker count, and an
-interrupted sweep can be resumed (completed rows are kept, failed or
-missing cells are recomputed).
+pooled; its first filtering method records the trial trace and every
+filtering method trains on it. Results do not depend on execution order or
+worker count, and an interrupted sweep can be resumed (completed rows are
+kept, failed or missing cells are recomputed).
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from .data import (
 )
 from .errors import ConfigError, ParseError, ToolkitError
 from .filtering import (
-    METHODS, VANILLA, LossTrace, ModelFactory, RobustTrainConfig, robust_train,
+    METHODS, VANILLA, LossTrace, ModelFactory, RobustTrainConfig,
+    record_trial_traces, robust_train,
 )
 from .metrics import auc_roc, best_f1, coverage
 from .models import (
@@ -245,9 +246,10 @@ def run_cell(
     bundle: DataBundle,
     group: CellGroup | None = None,
 ) -> ResultRow:
-    """Run one sweep cell on prepare_data's bundle: contaminate,
-    robust-train, score, evaluate. The cells of one group may pass one
-    CellGroup to share its work; the rows are the same without it."""
+    """Run one sweep cell on prepare_data's bundle: contaminate, record the
+    trial trace (filtering methods), robust-train on it, score, evaluate.
+    The cells of one group may pass one CellGroup to share its work; the
+    rows are the same without it."""
     group = CellGroup() if group is None else group
     seed = cell_seed(cfg, kind, method, ratio, rep)
     start = time.perf_counter()
@@ -262,10 +264,10 @@ def run_cell(
                 group.contaminated = bundle.train_windows, set()
         train_ws, injected = group.contaminated
         rc = cfg.train_config(method, derive_seed(seed, "train"))
-        model, report = robust_train(_model_factory(cfg, kind, bundle),
-                                     train_ws, rc, group.trace)
-        if report.trace is not None:
-            group.trace = report.trace
+        factory = _model_factory(cfg, kind, bundle)
+        if method != VANILLA and group.trace is None:
+            group.trace = record_trial_traces(factory, train_ws, rc)
+        model, report = robust_train(factory, train_ws, rc, group.trace)
         scores = anomaly_scores(model, bundle.test, bundle.test_windows)
         auc = auc_roc(scores, bundle.test.labels)
         f1, _threshold = best_f1(scores, bundle.test.labels)

@@ -10,7 +10,8 @@ sample's loss across N trial epochs, compute per-sample summary metrics
         (the first update is measured against the initialization-time loss),
 
 discard samples whose m or v strictly exceeds the corresponding 1-tau
-quantile, and retrain from scratch on what remains.
+quantile, and retrain from scratch on what remains: record_trial_traces,
+select_discard and final_fit, which robust_train runs in turn.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .data import MIN_SPLIT_WINDOWS, WindowSet, replacing_file, split_train_val
 from .errors import ConfigError, FilterError
-from .models import TrainConfig, TsadModel, fit, sample_losses, train_epoch
+from .models import FitResult, TrainConfig, TsadModel, fit, sample_losses, train_epoch
 from .nn import init_optimizer
 from .seeding import derive_seed
 
@@ -71,8 +72,6 @@ class FilterReport:
     s_m: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     s_v: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     discard: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    # the trial trace m and v came from; not part of the audit record
-    trace: LossTrace | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -111,29 +110,24 @@ class RobustTrainConfig:
 
 
 def record_trial_traces(
-    model_factory: ModelFactory,
-    windows: WindowSet,
-    trial_epochs: int,
-    config: TrainConfig,
+    model_factory: ModelFactory, windows: WindowSet, config: RobustTrainConfig,
 ) -> LossTrace:
-    """Train a fresh model for N trial epochs on all windows, recording a
-    dedicated full evaluation pass of every sample's loss at initialization
-    and after each epoch.
-
-    The per-epoch columns are measured at the epoch-end parameter state, not
-    from running minibatch losses, so all samples in a column see the same
-    parameters.
+    """Step 1: train a fresh model for config.trial_epochs epochs on all
+    windows, with a seed derived from config.train.seed, and record every
+    sample's loss at initialization and after each epoch. Each column is a
+    full evaluation pass at one parameter state, not running minibatch
+    losses. Method and tau play no part, so every method can share a trace.
     """
-    if trial_epochs < 1:
-        raise ConfigError(f"trial epochs must be >= 1, got {trial_epochs}")
     if len(windows) == 0:
         raise ConfigError("cannot record traces on an empty window set")
-    model = model_factory(config.seed)
-    state = init_optimizer(model.net, config.learning_rate)
-    losses = np.empty((len(windows), trial_epochs + 1))
+    trial_cfg = replace(config.train,
+                        seed=derive_seed(config.train.seed, "trial"))
+    model = model_factory(trial_cfg.seed)
+    state = init_optimizer(model.net, trial_cfg.learning_rate)
+    losses = np.empty((len(windows), config.trial_epochs + 1))
     losses[:, 0] = sample_losses(model, windows)
-    for epoch in range(trial_epochs):
-        train_epoch(model, state, windows, config, epoch)
+    for epoch in range(config.trial_epochs):
+        train_epoch(model, state, windows, trial_cfg, epoch)
         losses[:, epoch + 1] = sample_losses(model, windows)
     return LossTrace(losses)
 
@@ -168,7 +162,7 @@ def quantile_threshold(values: np.ndarray, q: float) -> float:
 def select_discard(
     m: np.ndarray, v: np.ndarray, tau: float, method: str = COMBINED
 ) -> FilterReport:
-    """Pick the discard set from the two metrics.
+    """Step 2: pick the discard set from the two metrics.
 
     S_m holds samples with m strictly above the 1-tau quantile of m, S_v
     likewise for v. The discard set is S_m, S_v or their union, depending
@@ -208,21 +202,22 @@ def select_discard(
     )
 
 
-def _train_final(
+def final_fit(
     model_factory: ModelFactory, windows: WindowSet, config: TrainConfig,
     rows: np.ndarray,
-) -> TsadModel:
-    """The shared final training phase on the given ascending rows of
-    windows: fresh model, 4:1 train/val split of the rows, early-stopped fit
-    on the training rows. The training rows train in place, through fit's
-    mask; only the validation fifth is copied."""
+) -> tuple[TsadModel, FitResult]:
+    """Step 3: train a fresh model on the given ascending rows of windows,
+    with a 4:1 train/validation split of the rows and early stopping. The
+    training rows train in place, through fit's mask; only the validation
+    fifth is copied."""
     final_seed = derive_seed(config.seed, "final-model")
     split_seed = derive_seed(config.seed, "train-val-split")
     final_cfg = replace(config, seed=derive_seed(config.seed, "final-train"))
     model = model_factory(final_seed)
     train_rows, val_rows = split_train_val(rows, split_seed)
-    fit(model, windows, final_cfg, windows.subset(val_rows), mask=train_rows)
-    return model
+    result = fit(model, windows, final_cfg, windows.subset(val_rows),
+                 mask=train_rows)
+    return model, result
 
 
 def robust_train(
@@ -231,18 +226,12 @@ def robust_train(
     config: RobustTrainConfig,
     trace: LossTrace | None = None,
 ) -> tuple[TsadModel, FilterReport]:
-    """Full robust-training pipeline.
+    """The three steps in one call: record_trial_traces, select_discard on
+    its m and v, and final_fit on the retained windows. The vanilla method
+    is final_fit on all windows.
 
-    Non-vanilla methods run the trial phase on all windows, discard the
-    selected samples, and then train a brand new model (fresh seed, fresh
-    optimizer) on the retained windows with a 4:1 train/validation split and
-    early stopping. The vanilla method is exactly that final phase applied
-    to all windows.
-
-    A given trace replaces the trial phase; it must be the one a trial phase
-    would record here (report.trace of an earlier call with these windows
-    and the same trial epochs and training seed). The trial phase does not
-    depend on the method, so every method can reuse one trace. A trace whose
+    A given trace replaces step 1; it must be what record_trial_traces
+    records for these windows and config (any method or tau). A trace whose
     shape does not fit the windows and trial epochs raises FilterError.
     """
     n = len(windows)
@@ -251,24 +240,18 @@ def robust_train(
         raise FilterError(f"trace must be {expected} for {n} windows and "
                           f"{config.trial_epochs} trial epochs, got "
                           f"{trace.losses.shape}")
+    rows = np.arange(n, dtype=np.int64)
     if config.method == VANILLA:
-        model = _train_final(model_factory, windows, config.train,
-                             np.arange(n, dtype=np.int64))
-        return model, FilterReport(VANILLA, config.tau)
-    if trace is None:
-        trial_cfg = replace(config.train,
-                            seed=derive_seed(config.train.seed, "trial"))
-        trace = record_trial_traces(model_factory, windows,
-                                    config.trial_epochs, trial_cfg)
-    report = select_discard(
-        metric_m(trace), metric_v(trace), config.tau, config.method
-    )
-    report.trace = trace
-    retained = np.setdiff1d(np.arange(n, dtype=np.int64), report.discard)
-    if retained.size < MIN_SPLIT_WINDOWS:
-        raise FilterError(
-            f"discarding {report.discard.size} of {n} windows leaves "
-            f"{retained.size}; the final fit needs at least {MIN_SPLIT_WINDOWS}"
-        )
-    model = _train_final(model_factory, windows, config.train, retained)
+        report = FilterReport(VANILLA, config.tau)
+    else:
+        if trace is None:
+            trace = record_trial_traces(model_factory, windows, config)
+        report = select_discard(metric_m(trace), metric_v(trace), config.tau,
+                                config.method)
+        rows = np.setdiff1d(rows, report.discard)
+        if rows.size < MIN_SPLIT_WINDOWS:
+            raise FilterError(
+                f"discarding {report.discard.size} of {n} windows leaves "
+                f"{rows.size}; the final fit needs at least {MIN_SPLIT_WINDOWS}")
+    model, _ = final_fit(model_factory, windows, config.train, rows)
     return model, report

@@ -114,6 +114,22 @@ class TestGenerate:
                        "--length", "10", "--periods", "30", "--seed", "1")
         assert code != 0
 
+    def test_segments_longer_than_the_series(self, tmp_path, capsys):
+        # level shifts are 20-60 steps long: only the short draws fit 30 steps
+        code = run_cli("generate", "--out", str(tmp_path / "x"), "--length", "30",
+                       "--periods", "3", "--anomaly-types", "level_shift",
+                       "--seed", "0")
+        assert code == 0 and (tmp_path / "x" / "test.csv").exists()
+        # frequency changes are at least 30 steps long: none fits 20 steps
+        capsys.readouterr()
+        code = run_cli("generate", "--out", str(tmp_path / "y"), "--length", "20",
+                       "--periods", "2", "--anomaly-types", "frequency_change",
+                       "--seed", "0")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: could not place anomaly segments")
+        assert err.count("\n") == 1
+
     def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
         code = run_cli("generate", "--out", str(tmp_path / "x"),
                        "--length", "600", "--periods", "30", "--seed", "-1")
@@ -731,10 +747,13 @@ def test_ctrl_c_during_pooled_sweep(tmp_path):
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    assert proc.returncode == 130
-    assert stderr == "error: interrupted\n"
-    assert stdout == ""
-    assert (out / "results.csv").read_text() == stored
+    # each message names the whole outcome, so a failure under load says
+    # which of the four went wrong and what the sweep printed
+    outcome = f"exit {proc.returncode}; stderr: {stderr!r}; stdout: {stdout!r}"
+    assert proc.returncode == 130, outcome
+    assert stderr == "error: interrupted\n", outcome
+    assert stdout == "", outcome
+    assert (out / "results.csv").read_text() == stored, outcome
 
 
 def test_ctrl_c_is_one_error_line(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from losstrace import data
-from losstrace.errors import ConfigError, ParseError
+from losstrace.errors import ConfigError, ParseError, ToolkitError
 
 
 def series(values, labels=None, names=None):
@@ -410,6 +410,30 @@ class TestGenerateSynthetic:
     def test_bad_type_rejected(self):
         with pytest.raises(ConfigError):
             data.SyntheticConfig(anomaly_types=("bogus",))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        periods=st.lists(st.integers(2, 8), min_size=1, max_size=3),
+        extra=st.integers(0, 60),
+        types=st.lists(st.sampled_from(data.ANOMALY_TYPES), min_size=1,
+                       max_size=3, unique=True),
+        rate=st.floats(0.0, 0.3),
+        channels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_short_configs_generate_or_raise_toolkit_error(
+            self, periods, extra, types, rate, channels, seed):
+        cfg = data.SyntheticConfig(channels=channels,
+                                   length=10 * max(periods) + extra,
+                                   periods=tuple(periods),
+                                   anomaly_types=tuple(types),
+                                   anomaly_rate=rate, seed=seed)
+        try:
+            train, test = data.generate_synthetic(cfg)
+        except ToolkitError:
+            return
+        assert train.values.shape == test.values.shape == (cfg.length, channels)
+        assert test.labels.sum() >= round_half_away(rate * cfg.length)
 
 
 def normal_windows(n, w=4, d=2, seed=0):

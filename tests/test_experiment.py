@@ -316,7 +316,7 @@ class TestSweep:
         path.unlink()
 
         # m_only is the first filtering method of its group: v_only and
-        # combined must record the trace without it
+        # combined must still train on the trace recorded for it
         seed = experiment.cell_seed(cfg, "reconstruction", "m_only", 0.1, 0)
         real_robust_train = experiment.robust_train
 
@@ -484,13 +484,17 @@ class TestSweep:
         assert len(alone) == 32
 
         traces = []
-        real_record = filtering.record_trial_traces
+        real_record = experiment.record_trial_traces
 
         def counted(*args, **kwargs):
             traces.append(args)
             return real_record(*args, **kwargs)
 
-        monkeypatch.setattr(filtering, "record_trial_traces", counted)
+        def second_trial(*args, **kwargs):
+            raise AssertionError("robust_train recorded its own trace")
+
+        monkeypatch.setattr(experiment, "record_trial_traces", counted)
+        monkeypatch.setattr(filtering, "record_trial_traces", second_trial)
         result = experiment.run_sweep(cfg, workers=workers)
         assert {(r.model, r.method, r.ratio, r.seed): r
                 for r in result.rows} == alone

@@ -77,27 +77,51 @@ class TestLossTrace:
             filtering.LossTrace(np.array([[1.0, -0.1]]))
 
 
+def trial_config(trial_epochs, **train):
+    return filtering.RobustTrainConfig(train=models.TrainConfig(**train),
+                                       trial_epochs=trial_epochs)
+
+
 class TestRecordTrialTraces:
     def test_single_epoch_trace_has_two_columns(self):
         ws = toy_windows(n=12)
         trace = filtering.record_trial_traces(
-            make_factory(), ws, 1, models.TrainConfig(seed=3)
+            make_factory(), ws, trial_config(1, seed=3)
         )
         assert trace.losses.shape == (12, 2)
 
     def test_deterministic(self):
         ws = toy_windows(n=15)
-        cfg = models.TrainConfig(seed=5)
-        a = filtering.record_trial_traces(make_factory(), ws, 4, cfg)
-        b = filtering.record_trial_traces(make_factory(), ws, 4, cfg)
+        cfg = trial_config(4, seed=5)
+        a = filtering.record_trial_traces(make_factory(), ws, cfg)
+        b = filtering.record_trial_traces(make_factory(), ws, cfg)
         assert a.losses.tobytes() == b.losses.tobytes()
+
+    def test_method_and_tau_do_not_change_the_trace(self):
+        """The premise of one trace per sweep group: only the windows, the
+        trial epochs and the training settings make the trace."""
+        ws = toy_windows(n=20, seed=10)
+        base = trial_config(3, epochs=1, batch_size=8, seed=31)
+        expected = filtering.record_trial_traces(make_factory(), ws, base)
+        for method in filtering.METHODS:
+            for tau in (0.05, 0.2, 0.5):
+                cfg = dataclasses.replace(base, method=method, tau=tau)
+                trace = filtering.record_trial_traces(make_factory(), ws, cfg)
+                assert trace.losses.tobytes() == expected.losses.tobytes()
+        other_seed = trial_config(3, epochs=1, batch_size=8, seed=32)
+        assert (filtering.record_trial_traces(make_factory(), ws, other_seed)
+                .losses.tobytes() != expected.losses.tobytes())
 
     def test_columns_match_manual_recomputation(self):
         ws = toy_windows(n=10, seed=2)
-        cfg = models.TrainConfig(batch_size=4, learning_rate=1e-2, seed=7)
         n_epochs = 3
-        trace = filtering.record_trial_traces(make_factory(), ws, n_epochs, cfg)
+        trace = filtering.record_trial_traces(
+            make_factory(), ws,
+            trial_config(n_epochs, batch_size=4, learning_rate=1e-2, seed=7))
 
+        # the trial phase trains with the seed derived for it
+        cfg = models.TrainConfig(batch_size=4, learning_rate=1e-2,
+                                 seed=derive_seed(7, "trial"))
         model = make_factory()(cfg.seed)
         state = nn.init_optimizer(model.net, cfg.learning_rate)
         expected0 = [window_loss(model, ws.data[i]) for i in range(10)]
@@ -265,9 +289,25 @@ class TestRobustTrain:
         )
         model, report = filtering.robust_train(factory, ws, cfg)
         assert report.discard.size == 0 and report.m is None
-        direct = filtering._train_final(factory, ws, cfg.train, np.arange(24))
+        direct, _ = filtering.final_fit(factory, ws, cfg.train, np.arange(24))
         for p, q in zip(model.net.parameters(), direct.net.parameters()):
             assert p.tobytes() == q.tobytes()
+
+    def test_final_fit_returns_the_fit_result(self, monkeypatch):
+        ws = toy_windows(n=24, seed=3)
+        train = models.TrainConfig(epochs=6, batch_size=8, patience=2, seed=11)
+        fits = []
+
+        def recorded(*args, **kwargs):
+            fits.append(models.fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(filtering, "fit", recorded)
+        model, result = filtering.final_fit(make_factory(), ws, train,
+                                            np.arange(24))
+        assert len(fits) == 1 and result is fits[0]
+        assert result.epochs_run == len(result.val_history) >= 1
+        assert 0 <= result.best_epoch < result.epochs_run
 
     def test_deterministic(self):
         ws = toy_windows(n=30, seed=4)
@@ -316,7 +356,7 @@ class TestRobustTrain:
             ws.window, ws.data.copy(), ws.flags.copy(), ws.origins.copy()
         )
         poisoned.data[report.discard] = 1e6
-        rebuilt = filtering._train_final(make_factory(), poisoned, cfg.train,
+        rebuilt, _ = filtering.final_fit(make_factory(), poisoned, cfg.train,
                                          retained)
         for p, q in zip(model_a.net.parameters(), rebuilt.net.parameters()):
             assert p.tobytes() == q.tobytes()
@@ -349,10 +389,7 @@ class TestRobustTrain:
                                 ws.origins)
         kept = copied.subset(np.setdiff1d(np.arange(len(ws)), report.discard))
         if method != filtering.VANILLA:
-            trial_cfg = dataclasses.replace(
-                cfg.train, seed=derive_seed(cfg.train.seed, "trial"))
-            trace = filtering.record_trial_traces(factory, copied,
-                                                  cfg.trial_epochs, trial_cfg)
+            trace = filtering.record_trial_traces(factory, copied, cfg)
             expected = filtering.select_discard(
                 filtering.metric_m(trace), filtering.metric_v(trace), cfg.tau,
                 method)
@@ -399,9 +436,8 @@ class TestRobustTrain:
             trial_epochs=3,
             method="combined",
         )
-        model, report = filtering.robust_train(make_factory(), ws, cfg)
-        assert report.trace.losses.shape == (30, 4)
-        assert "trace" not in report.to_dict()
+        trace = filtering.record_trial_traces(make_factory(), ws, cfg)
+        assert trace.losses.shape == (30, 4)
         for method in ("m_only", "v_only", "combined"):
             alone_cfg = dataclasses.replace(cfg, method=method)
             alone, alone_report = filtering.robust_train(make_factory(), ws,
@@ -413,12 +449,10 @@ class TestRobustTrain:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(filtering, "record_trial_traces", no_trial)
                 reused, reused_report = filtering.robust_train(
-                    make_factory(), ws, alone_cfg, trace=report.trace)
+                    make_factory(), ws, alone_cfg, trace=trace)
             assert reused.net.flat.tobytes() == alone.net.flat.tobytes()
             assert reused_report.to_dict() == alone_report.to_dict()
-            assert reused_report.trace is report.trace
-            assert (alone_report.trace.losses.tobytes()
-                    == report.trace.losses.tobytes())
+            assert "trace" not in reused_report.to_dict()
 
     @pytest.mark.parametrize("shape", [(29, 4), (31, 4), (30, 3), (30, 5)])
     def test_trace_of_the_wrong_shape_rejected(self, shape):
