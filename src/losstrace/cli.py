@@ -17,12 +17,11 @@ from functools import partial
 from pathlib import Path
 
 from .data import (
+    MultivariateSeries,
     SyntheticConfig,
-    _csv_rows,
     apply_normalizer,
     generate_synthetic,
     load_csv,
-    replacing_file,
     training_windows,
     write_csv,
 )
@@ -175,9 +174,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         series = apply_normalizer(norm, series)
     scores = anomaly_scores(model, series)
     if args.scores_out:
-        with replacing_file(args.scores_out) as fh:
-            fh.write("score" + (",label\n" if series.labels is not None else "\n"))
-            fh.write(_csv_rows(scores[:, None], series.labels))
+        write_csv(MultivariateSeries(scores[:, None], series.labels, ["score"]),
+                  args.scores_out)
     if series.labels is not None and 0 < series.labels.sum() < series.length:
         auc = auc_roc(scores, series.labels)
         f1, threshold = best_f1(scores, series.labels)
@@ -298,6 +296,9 @@ def cli_main(argv: list[str] | None = None) -> int:
             return handlers[args.command](args)
     except (ToolkitError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

@@ -251,25 +251,21 @@ def replacing_file(path: str, binary: bool = False):
         raise
 
 
-def _csv_rows(values: np.ndarray, labels: np.ndarray | None) -> str:
-    """The data rows of write_csv's format: the repr of every value of a
-    (T, d) array (lossless), then the 0/1 label when labels are given."""
-    row = ",".join(["%r"] * values.shape[1] + ([] if labels is None else ["%d"]))
-    table = values if labels is None else np.column_stack([values, labels])
-    # one %-format over the whole table; %r is repr, so each value is
-    # written as repr(float(x))
-    return (f"{row}\n" * len(table)) % tuple(table.ravel().tolist())
-
-
 def write_csv(series: MultivariateSeries, path: str) -> None:
-    """Write a series in the format load_csv reads (lossless float repr),
-    atomically."""
+    """Write a series in the format load_csv reads, atomically: the repr of
+    every value (lossless), then the 0/1 label when there are labels."""
     header = list(series.channel_names)
+    row = ",".join(["%r"] * series.channels)
+    table = series.values
     if series.labels is not None:
         header.append(LABEL_COLUMN)
+        row += ",%d"
+        table = np.column_stack([table, series.labels])
     with replacing_file(path) as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.write(_csv_rows(series.values, series.labels))
+        # one %-format over the whole table; %r is repr, so each value is
+        # written as repr(float(x))
+        fh.write((f"{row}\n" * len(table)) % tuple(table.ravel().tolist()))
 
 
 @dataclass

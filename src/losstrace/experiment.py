@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import logging
+import signal
 import time
 import traceback
 from collections.abc import Iterator
@@ -249,7 +250,12 @@ def run_cell(
     """Run one sweep cell on prepare_data's bundle: contaminate, record the
     trial trace (filtering methods), robust-train on it, score, evaluate.
     The cells of one group may pass one CellGroup to share its work; the
-    rows are the same without it."""
+    rows are the same without it.
+
+    A cell that fails returns its NA row instead of raising. The row's
+    error is "<cell>: <message>" for a ToolkitError, and "<cell>:
+    unexpected error" with the traceback for any other Exception.
+    KeyboardInterrupt propagates."""
     group = CellGroup() if group is None else group
     seed = cell_seed(cfg, kind, method, ratio, rep)
     start = time.perf_counter()
@@ -277,11 +283,12 @@ def run_cell(
         return ResultRow(kind, method, float(ratio), seed, auc, f1, cov,
                          int(report.discard.size), wall)
     except ToolkitError as exc:
-        raise type(exc)(f"{_cell_name(kind, method, ratio, rep)}: {exc}") from exc
-
-
-def _cell_name(kind: str, method: str, ratio: float, rep: int) -> str:
-    return f"cell model={kind} method={method} ratio={ratio:g} rep={rep}"
+        error = str(exc)
+    except Exception:
+        error = f"unexpected error\n{traceback.format_exc().rstrip()}"
+    name = f"cell model={kind} method={method} ratio={ratio:g} rep={rep}"
+    return ResultRow(kind, method, float(ratio), seed, None, None, None, None,
+                     None, error=f"{name}: {error}")
 
 
 def _model_factory(cfg: SweepConfig, kind: str, bundle: DataBundle) -> ModelFactory:
@@ -295,36 +302,27 @@ GroupTask = tuple[SweepConfig, str, float, int, tuple[str, ...]]
 
 
 def _run_group_task(task: GroupTask, bundle: DataBundle) -> list[ResultRow]:
-    """Run a group's pending cells, sharing one CellGroup. A cell that
-    raises becomes an NA row carrying the error, with the traceback of an
-    unexpected one; the group's other cells still run."""
+    """Run a group's pending cells, sharing one CellGroup."""
     cfg, kind, ratio, rep, methods = task
     group = CellGroup()
-    rows = []
-    for method in methods:
-        try:
-            rows.append(run_cell(cfg, kind, method, ratio, rep, bundle, group))
-            continue
-        except ToolkitError as exc:
-            error = str(exc)
-        except Exception:
-            error = (f"{_cell_name(kind, method, ratio, rep)}: unexpected "
-                     f"error\n{traceback.format_exc().rstrip()}")
-        rows.append(ResultRow(kind, method, float(ratio),
-                              cell_seed(cfg, kind, method, ratio, rep),
-                              None, None, None, None, None, error=error))
-    return rows
+    return [run_cell(cfg, kind, method, ratio, rep, bundle, group)
+            for method in methods]
 
 
 # a pool worker's copy of the sweep's bundle, set once by _init_worker
 _worker_bundle: DataBundle | None = None
+# set while a pool worker runs a group
+_worker_busy = False
 
 
 def _init_worker(bundle: DataBundle) -> None:
-    """Keep the bundle and run BLAS on one thread, as one_blas_thread
-    explains."""
+    """Keep the bundle, run BLAS on one thread, as one_blas_thread
+    explains, and let SIGINT stop only a busy worker: an idle one would
+    print a KeyboardInterrupt traceback, so it waits for the pool to shut
+    it down."""
     global _worker_bundle
     _worker_bundle = bundle
+    signal.signal(signal.SIGINT, _interrupt_if_busy)
     blas = _openblas_threads()
     if blas is not None:
         _get, set_threads = blas
@@ -373,9 +371,19 @@ def one_blas_thread() -> Iterator[None]:
         set_(before)
 
 
+def _interrupt_if_busy(signum: int, frame: object) -> None:
+    if _worker_busy:
+        raise KeyboardInterrupt
+
+
 def _run_pooled_group(task: GroupTask) -> list[ResultRow]:
+    global _worker_busy
     assert _worker_bundle is not None
-    return _run_group_task(task, _worker_bundle)
+    _worker_busy = True
+    try:
+        return _run_group_task(task, _worker_bundle)
+    finally:
+        _worker_busy = False
 
 
 def run_sweep(
@@ -392,11 +400,10 @@ def run_sweep(
     kind is built, once before any cell runs, so dataset, label and
     architecture errors raise instead of failing every cell, before
     raw_path's directory is created. A forking pool starts all its workers
-    at once, so at most one per pending group is asked for. Any exception
-    in one cell produces a row with NA metrics (and a logged error)
-    instead of aborting the sweep; it is retried on the next resume. A pool
-    worker that dies ends the sweep with a ToolkitError, and its rows are
-    lost.
+    at once, so at most one per pending group is asked for. A cell that
+    fails is the NA row run_cell returns, its error logged here; the sweep
+    goes on, and the next resume retries the cell. A pool worker that dies
+    ends the sweep with a ToolkitError, and its rows are lost.
     Unless record_timing is set, wall times are written as NA so repeated
     sweeps with the same seed produce byte-identical files.
     """

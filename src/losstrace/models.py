@@ -310,6 +310,10 @@ def load_checkpoint(
             raise ConfigError("not a losstrace checkpoint")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
+        for key in ("window", "channels", "horizon", "seed"):
+            if isinstance(meta[key], bool) or not isinstance(meta[key], int):
+                raise ParseError(f"checkpoint metadata {key!r} must be an "
+                                 f"integer, got {json.dumps(meta[key])}")
         layers = [
             nn.DenseLayer(arrays[f"w{i}"], arrays[f"b{i}"], act)
             for i, act in enumerate(meta["activations"])

@@ -4,6 +4,7 @@ fresh interpreter imports."""
 import dataclasses
 import inspect
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -317,6 +318,28 @@ class TestFailuresExitOne:
         code = run_cli("evaluate", "--test-csv", str(dataset_dir / "test.csv"),
                        "--checkpoint", str(checkpoint))
         self.assert_failed(code, capsys)
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    @pytest.mark.parametrize("key", ["window", "channels", "horizon", "seed"])
+    @pytest.mark.parametrize("value", [16.0, True, "x", None],
+                             ids=["float", "true", "string", "null"])
+    def test_non_integer_checkpoint_metadata(self, kind, key, value, dataset_dir,
+                                             tmp_path, capsys):
+        ckpt = tmp_path / "model.npz"
+        models.save_checkpoint(
+            models.build_model(kind, 6, 2, horizon=2, hidden_sizes=(4,)), str(ckpt))
+        with np.load(ckpt) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = {**json.loads(str(arrays["meta"])), key: value}
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, **dict(arrays, meta=np.array(json.dumps(meta))))
+        capsys.readouterr()
+        code = run_cli("evaluate", "--test-csv", str(dataset_dir / "test.csv"),
+                       "--checkpoint", str(ckpt))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {ckpt}: checkpoint metadata '{key}' must be "
+                       f"an integer, got {json.dumps(value)}\n")
 
     def test_unwritable_scores_path_names_it(self, checkpoint, dataset_dir,
                                              tmp_path, capsys):
@@ -754,6 +777,63 @@ def test_ctrl_c_during_pooled_sweep(tmp_path):
     assert stderr == "error: interrupted\n", outcome
     assert stdout == "", outcome
     assert (out / "results.csv").read_text() == stored, outcome
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the pool workers must inherit the patched group task")
+def test_ctrl_c_leaves_idle_pool_worker_quiet(tmp_path):
+    """SIGINT while one pool worker runs a group and the other waits for
+    work: the idle worker prints no KeyboardInterrupt traceback."""
+    cfg = sweep_config(tmp_path, repetitions=1)
+    done = tmp_path / "instant_group_done"
+    # the ratio-0 group returns at once; the ratio-0.1 group runs until
+    # the signal stops it
+    script = (
+        "import sys, time\n"
+        "from pathlib import Path\n"
+        "from losstrace import cli, experiment\n"
+        "def task(task, bundle):\n"
+        "    if task[2] > 0:\n"
+        "        time.sleep(60)\n"
+        f"    Path({str(done)!r}).touch()\n"
+        "    return []\n"
+        "experiment._run_group_task = task\n"
+        "sys.exit(cli.cli_main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "sweep", "--config", str(cfg), "--seed",
+         "7", "--out", str(tmp_path / "res"), "--workers", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not done.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(0.5)  # let the worker that ran it go back to waiting
+        assert proc.poll() is None, "the sweep ended before the signal"
+        os.killpg(proc.pid, signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    outcome = f"exit {proc.returncode}; stderr: {stderr!r}; stdout: {stdout!r}"
+    assert "Traceback" not in stderr, outcome
+    assert proc.returncode == 130, outcome
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    def too_big(args):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    monkeypatch.setattr(cli, "_cmd_generate", too_big)
+    capsys.readouterr()
+    assert run_cli("generate", "--out", str(tmp_path), "--seed", "1") == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 72.8 TiB\n")
 
 
 def test_ctrl_c_is_one_error_line(tmp_path, monkeypatch, capsys):

@@ -143,7 +143,39 @@ class TestRunCell:
         bundle = experiment.prepare_data(cfg)
         bundle = dataclasses.replace(  # empty anomaly pool
             bundle, pool=bundle.pool.subset(np.empty(0, np.int64)))
-        with pytest.raises(ConfigError, match="ratio=0.1"):
+        row = experiment.run_cell(cfg, "reconstruction", "combined", 0.1, 0, bundle)
+        assert not row.ok
+        assert row.error == ("cell model=reconstruction method=combined "
+                             "ratio=0.1 rep=0: non-zero contamination needs a "
+                             "non-empty anomaly pool")
+
+    def test_failures_return_na_rows(self, monkeypatch):
+        """A ToolkitError or any other Exception inside a cell returns the
+        cell's NA row; KeyboardInterrupt propagates."""
+        cfg = tiny_config()
+        bundle = experiment.prepare_data(cfg)
+        seed = experiment.cell_seed(cfg, "reconstruction", "combined", 0.1, 0)
+        name = "cell model=reconstruction method=combined ratio=0.1 rep=0"
+        for fault, error in ((ConfigError("bad value"), f"{name}: bad value"),
+                             (RuntimeError("boom"), f"{name}: unexpected error\n"
+                                                    "Traceback (most recent call last):")):
+            def faulty(*args, fault=fault):
+                raise fault
+
+            monkeypatch.setattr(experiment, "robust_train", faulty)
+            row = experiment.run_cell(cfg, "reconstruction", "combined", 0.1, 0, bundle)
+            assert (row.model, row.method, row.ratio, row.seed) == (
+                "reconstruction", "combined", 0.1, seed)
+            assert (row.auc, row.best_f1, row.coverage, row.discard_size,
+                    row.wall_time_s) == (None,) * 5
+            assert row.error.startswith(error)
+        assert row.error.endswith("RuntimeError: boom")
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "robust_train", interrupted)
+        with pytest.raises(KeyboardInterrupt):
             experiment.run_cell(cfg, "reconstruction", "combined", 0.1, 0, bundle)
 
 
@@ -284,14 +316,16 @@ class TestSweep:
         reference = path.read_bytes()
         path.unlink()
 
-        real_run_cell = experiment.run_cell
+        seed = experiment.cell_seed(cfg, "reconstruction", "combined", 0.1, 0)
+        real_robust_train = experiment.robust_train
 
-        def flaky(cfg, kind, method, ratio, rep, data=None, group=None):
-            if method == "combined" and ratio == 0.1 and rep == 0:
+        def flaky(factory, windows, config, trace=None):
+            if (config.method == "combined"
+                    and config.train.seed == derive_seed(seed, "train")):
                 raise ConfigError("synthetic fault")
-            return real_run_cell(cfg, kind, method, ratio, rep, data, group)
+            return real_robust_train(factory, windows, config, trace)
 
-        monkeypatch.setattr(experiment, "run_cell", flaky)
+        monkeypatch.setattr(experiment, "robust_train", flaky)
         result = experiment.run_sweep(cfg, raw_path=str(path))
         bad = [r for r in result.rows if not r.ok]
         assert len(bad) == 1 and bad[0].error and "synthetic fault" in bad[0].error
@@ -301,7 +335,7 @@ class TestSweep:
 
         # resuming with the fault gone retries exactly the failed cell and
         # reproduces the clean sweep byte for byte
-        monkeypatch.setattr(experiment, "run_cell", real_run_cell)
+        monkeypatch.setattr(experiment, "robust_train", real_robust_train)
         resumed = experiment.run_sweep(cfg, raw_path=str(path))
         experiment.write_results(resumed, str(path))
         assert path.read_bytes() == reference

@@ -2,6 +2,7 @@
 scoring, checkpointing."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,15 @@ def toy_windows(n=40, w=6, d=2, seed=0):
         w, rng.normal(size=(n, w, d)), np.zeros(n, dtype=np.int8),
         np.arange(n, dtype=np.int64),
     )
+
+
+def set_checkpoint_meta(path, **entries):
+    """Rewrite entries of a checkpoint's JSON metadata in place."""
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    meta = {**json.loads(str(arrays["meta"])), **entries}
+    with open(path, "wb") as fh:
+        np.savez(fh, **dict(arrays, meta=np.array(json.dumps(meta))))
 
 
 def identity_reconstruction_model(w, d):
@@ -404,6 +414,20 @@ class TestCheckpoint:
                 models.load_checkpoint(str(path))
         with pytest.raises(ConfigError, match="cannot read"):
             models.load_checkpoint(str(tmp_path / "missing.npz"))
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    @pytest.mark.parametrize("key", ["window", "channels", "horizon", "seed"])
+    @pytest.mark.parametrize("value", [16.0, True, "x", None],
+                             ids=["float", "true", "string", "null"])
+    def test_metadata_sizes_must_be_integers(self, kind, key, value, tmp_path):
+        path = tmp_path / "model.npz"
+        models.save_checkpoint(
+            models.build_model(kind, 5, 2, horizon=2, hidden_sizes=(4,)),
+            str(path))
+        set_checkpoint_meta(path, **{key: value})
+        with pytest.raises(ParseError, match="^" + re.escape(
+                f"{path}: checkpoint metadata '{key}' must be an integer")):
+            models.load_checkpoint(str(path))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.npz"
