@@ -311,18 +311,20 @@ def _run_group_task(task: GroupTask, bundle: DataBundle) -> list[ResultRow]:
 
 # a pool worker's copy of the sweep's bundle, set once by _init_worker
 _worker_bundle: DataBundle | None = None
-# set while a pool worker runs a group
-_worker_busy = False
+# signal masks are POSIX-only; elsewhere SIGINT is never held back
+_MASKS_SIGNALS = hasattr(signal, "pthread_sigmask")
 
 
 def _init_worker(bundle: DataBundle) -> None:
     """Keep the bundle, run BLAS on one thread, as one_blas_thread
-    explains, and let SIGINT stop only a busy worker: an idle one would
-    print a KeyboardInterrupt traceback, so it waits for the pool to shut
-    it down."""
+    explains, and end at SIGINT as the system default does, idle or busy:
+    no Python code runs on the way out, so no traceback and no further
+    group. A SIGINT that run_sweep's mask held back ends the worker here."""
     global _worker_bundle
     _worker_bundle = bundle
-    signal.signal(signal.SIGINT, _interrupt_if_busy)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    if _MASKS_SIGNALS:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     blas = _openblas_threads()
     if blas is not None:
         _get, set_threads = blas
@@ -371,19 +373,9 @@ def one_blas_thread() -> Iterator[None]:
         set_(before)
 
 
-def _interrupt_if_busy(signum: int, frame: object) -> None:
-    if _worker_busy:
-        raise KeyboardInterrupt
-
-
 def _run_pooled_group(task: GroupTask) -> list[ResultRow]:
-    global _worker_busy
     assert _worker_bundle is not None
-    _worker_busy = True
-    try:
-        return _run_group_task(task, _worker_bundle)
-    finally:
-        _worker_busy = False
+    return _run_group_task(task, _worker_bundle)
 
 
 def run_sweep(
@@ -403,7 +395,10 @@ def run_sweep(
     at once, so at most one per pending group is asked for. A cell that
     fails is the NA row run_cell returns, its error logged here; the sweep
     goes on, and the next resume retries the cell. A pool worker that dies
-    ends the sweep with a ToolkitError, and its rows are lost.
+    ends the sweep with a ToolkitError, and its rows are lost. Ctrl-C (a
+    SIGINT to the process group) ends every pool worker at once; a SIGINT
+    to this process alone lets the running groups finish. Either way the
+    queued groups are cancelled and KeyboardInterrupt propagates.
     Unless record_timing is set, wall times are written as NA so repeated
     sweeps with the same seed produce byte-identical files.
     """
@@ -445,16 +440,30 @@ def run_sweep(
                  for (kind, ratio, rep), methods in groups.items()]
         workers = min(workers, len(tasks))
         if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       initializer=_init_worker,
+                                       initargs=(bundle,))
             try:
-                with ProcessPoolExecutor(max_workers=workers,
-                                         initializer=_init_worker,
-                                         initargs=(bundle,)) as pool:
-                    for group_rows in pool.map(_run_pooled_group, tasks):
-                        rows.extend(group_rows)
+                # the first submit forks every worker: hold SIGINT back so
+                # that a worker takes it only after _init_worker
+                if _MASKS_SIGNALS:
+                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    futures = [pool.submit(_run_pooled_group, task)
+                               for task in tasks]
+                finally:
+                    if _MASKS_SIGNALS:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                for future in futures:
+                    rows.extend(future.result())
             except BrokenProcessPool:
                 raise ToolkitError("a sweep worker process died (killed, or out of "
                                    "memory?); this run's rows are lost and stored "
                                    "results are unchanged: re-run the sweep") from None
+            finally:
+                # the pool's own thread cancels the queued groups: cancelled
+                # from this thread, they would race its marking them broken
+                pool.shutdown(cancel_futures=True)
         else:
             with one_blas_thread():
                 for task in tasks:

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import nn
 from .data import MultivariateSeries, Normalizer, WindowSet, replacing_file
-from .errors import ConfigError, ParseError, ShapeError, ToolkitError, TrainingError
+from .errors import (ConfigError, NumericError, ParseError, ShapeError,
+                     ToolkitError, TrainingError)
 
 RECONSTRUCTION = "reconstruction"
 PREDICTION = "prediction"
@@ -228,6 +229,7 @@ def anomaly_scores(model: TsadModel, series: MultivariateSeries,
     score is the maximum loss over all windows covering it. windows may
     hold those (n, w, d) stride-1 windows, already cut: a contiguous copy
     spares every loss pass copying the overlapping windows of the series.
+    A loss that is not finite raises NumericError.
     """
     w = model.window
     if series.channels != model.channels:
@@ -245,7 +247,11 @@ def anomaly_scores(model: TsadModel, series: MultivariateSeries,
     elif len(windows) != series.length - w + 1:
         raise ShapeError(f"{len(windows)} windows do not cover a series of "
                          f"length {series.length} at stride 1")
-    losses = sample_losses(model, windows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = sample_losses(model, windows)
+    if not np.isfinite(losses).all():
+        raise NumericError("anomaly scores are not finite: the model's "
+                           "losses overflow")
     scores = np.full(series.length, -np.inf)
     # window j covers timesteps j + shift for shift in 0..w-1
     n = losses.shape[0]

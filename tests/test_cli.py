@@ -341,6 +341,27 @@ class TestFailuresExitOne:
         assert err == (f"error: {ckpt}: checkpoint metadata '{key}' must be "
                        f"an integer, got {json.dumps(value)}\n")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    @pytest.mark.parametrize("scores_out", [False, True])
+    def test_overflowing_losses_are_one_error_line(self, kind, scores_out,
+                                                   dataset_dir, tmp_path, capsys):
+        """Losses that overflow end evaluate in one NumericError line, with
+        no numpy warning, whether or not the scores are written."""
+        model = models.build_model(kind, 6, 2, horizon=2, hidden_sizes=(4,))
+        model.net.flat[:] = 1e200
+        ckpt = tmp_path / "model.npz"
+        models.save_checkpoint(model, str(ckpt))
+        argv = ["evaluate", "--test-csv", str(dataset_dir / "test.csv"),
+                "--checkpoint", str(ckpt)]
+        if scores_out:
+            argv += ["--scores-out", str(tmp_path / "scores.csv")]
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == (
+            "error: anomaly scores are not finite: the model's losses overflow\n")
+        assert not (tmp_path / "scores.csv").exists()
+
     def test_unwritable_scores_path_names_it(self, checkpoint, dataset_dir,
                                              tmp_path, capsys):
         target = tmp_path / "nodir" / "x.csv"
@@ -823,6 +844,94 @@ def test_ctrl_c_leaves_idle_pool_worker_quiet(tmp_path):
     outcome = f"exit {proc.returncode}; stderr: {stderr!r}; stdout: {stdout!r}"
     assert "Traceback" not in stderr, outcome
     assert proc.returncode == 130, outcome
+
+
+def start_pooled_sweep(script, tmp_path, **extra):
+    """Popen of a 2-worker sweep of sweep_config(tmp_path, **extra) under
+    `python -c script`, in a process group of its own."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen(
+        [sys.executable, "-c", script, "sweep", "--config",
+         str(sweep_config(tmp_path, **extra)), "--seed", "7", "--out",
+         str(tmp_path / "res"), "--workers", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+
+
+def interrupt_when(proc, ready):
+    """Send SIGINT to proc's process group once ready() holds; return
+    (stdout, stderr, seconds from the signal to the exit)."""
+    try:
+        deadline = time.monotonic() + 60
+        while not ready() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert proc.poll() is None, "the sweep ended before the signal"
+        os.killpg(proc.pid, signal.SIGINT)
+        sent = time.monotonic()
+        stdout, stderr = proc.communicate(timeout=60)
+        return stdout, stderr, time.monotonic() - sent
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the pool workers must inherit the patched group task")
+def test_ctrl_c_starts_no_queued_group(tmp_path):
+    """SIGINT while both pool workers run a group and two more groups wait:
+    the sweep ends at once with one error line, and no queued group runs."""
+    markers = tmp_path / "started"
+    markers.mkdir()
+    script = (
+        "import sys, time\n"
+        "from pathlib import Path\n"
+        "from losstrace import cli, experiment\n"
+        "def task(task, bundle):\n"
+        f"    Path({str(markers)!r}, f'{{task[2]:g}}_{{task[3]}}').touch()\n"
+        "    time.sleep(20)\n"
+        "    return []\n"
+        "experiment._run_group_task = task\n"
+        "sys.exit(cli.cli_main(sys.argv[1:]))\n"
+    )
+    # 2 ratios x 2 repetitions: four groups for two workers
+    proc = start_pooled_sweep(script, tmp_path)
+    stdout, stderr, seconds = interrupt_when(
+        proc, lambda: len(list(markers.iterdir())) >= 2)
+    outcome = (f"exit {proc.returncode} after {seconds:.2f} s; stderr: "
+               f"{stderr!r}; started: {sorted(p.name for p in markers.iterdir())}")
+    assert proc.returncode == 130, outcome
+    assert stderr == "error: interrupted\n", outcome
+    assert len(list(markers.iterdir())) == 2, outcome
+    assert seconds < 5, outcome
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the pool workers must inherit the patched initializer")
+def test_ctrl_c_during_worker_startup_is_one_error_line(tmp_path):
+    """SIGINT while the pool workers start, before their initializer has
+    run: exit 130 and one error line, no worker traceback."""
+    starting = tmp_path / "worker_starting"
+    script = (
+        "import sys, time\n"
+        "from pathlib import Path\n"
+        "from losstrace import cli, experiment\n"
+        "init_worker = experiment._init_worker\n"
+        "def slow_init(bundle):\n"
+        f"    Path({str(starting)!r}).touch()\n"
+        "    time.sleep(2)\n"
+        "    init_worker(bundle)\n"
+        "experiment._init_worker = slow_init\n"
+        "sys.exit(cli.cli_main(sys.argv[1:]))\n"
+    )
+    proc = start_pooled_sweep(script, tmp_path, repetitions=1)
+    stdout, stderr, seconds = interrupt_when(proc, starting.exists)
+    outcome = (f"exit {proc.returncode} after {seconds:.2f} s; stderr: "
+               f"{stderr!r}; stdout: {stdout!r}")
+    assert proc.returncode == 130, outcome
+    assert stderr == "error: interrupted\n", outcome
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):

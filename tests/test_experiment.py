@@ -7,7 +7,7 @@ import ctypes
 import dataclasses
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +148,26 @@ class TestRunCell:
         assert row.error == ("cell model=reconstruction method=combined "
                              "ratio=0.1 rep=0: non-zero contamination needs a "
                              "non-empty anomaly pool")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_scores_return_na_row(self, monkeypatch):
+        """Scores that are not finite make the cell's NA row through the
+        NumericError of anomaly_scores, with no numpy warning."""
+        cfg = tiny_config()
+        bundle = experiment.prepare_data(cfg)
+        real_robust_train = experiment.robust_train
+
+        def overflowing(*args):
+            model, report = real_robust_train(*args)
+            model.net.flat[:] = 1e200
+            return model, report
+
+        monkeypatch.setattr(experiment, "robust_train", overflowing)
+        row = experiment.run_cell(cfg, "reconstruction", "vanilla", 0.0, 0, bundle)
+        assert not row.ok
+        assert row.error == ("cell model=reconstruction method=vanilla ratio=0 "
+                             "rep=0: anomaly scores are not finite: the model's "
+                             "losses overflow")
 
     def test_failures_return_na_rows(self, monkeypatch):
         """A ToolkitError or any other Exception inside a cell returns the
@@ -700,14 +720,13 @@ class TestPoolWorkers:
                 assert len(initargs) == 1
                 monkeypatch.setattr(experiment, "_worker_bundle", initargs[0])
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, task):
+                future = Future()
+                future.set_result(fn(task))
+                return future
 
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return list(map(fn, tasks))
+            def shutdown(self, cancel_futures):
+                pass
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
         cfg = tiny_config(methods=("vanilla",), ratios=(0.0,), repetitions=cells)
