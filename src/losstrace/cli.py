@@ -279,12 +279,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+# how numpy's ValueError begins for a shape too large to index; a shape it
+# can index but not allocate raises MemoryError
+NUMPY_SIZE_ERRORS = ("Maximum allowed dimension exceeded", "array is too big;")
+
+
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse error or --help
-        return int(exc.code or 0)
     handlers = {
         "generate": _cmd_generate,
         "train": _cmd_train,
@@ -292,12 +292,18 @@ def cli_main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse error or --help
+            return int(exc.code or 0)
         with one_blas_thread():
             return handlers[args.command](args)
     except (ToolkitError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(NUMPY_SIZE_ERRORS):
+            raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -494,18 +494,22 @@ def _fmt(value: float | int | None, spec: str = "r") -> str:
     return repr(float(value))
 
 
+def _write_table(path: str, header: list[str], rows) -> None:
+    """Write a header and rows of cells as CSV, atomically."""
+    with replacing_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_results(result: ExperimentResult, path: str) -> None:
     """Write the raw per-cell CSV (header: model,method,ratio,seed,auc,
     best_f1,coverage,discard_size,wall_time_s), atomically."""
-    with replacing_file(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RAW_HEADER)
-        for r in result.rows:
-            writer.writerow([
-                r.model, r.method, _fmt(r.ratio, "g"), str(r.seed),
-                _fmt(r.auc), _fmt(r.best_f1), _fmt(r.coverage),
-                _fmt(r.discard_size), _fmt(r.wall_time_s, "t"),
-            ])
+    _write_table(path, RAW_HEADER, ([
+        r.model, r.method, _fmt(r.ratio, "g"), str(r.seed),
+        _fmt(r.auc), _fmt(r.best_f1), _fmt(r.coverage),
+        _fmt(r.discard_size), _fmt(r.wall_time_s, "t"),
+    ] for r in result.rows))
 
 
 def read_results_if_exists(path: str) -> list[ResultRow]:
@@ -598,13 +602,9 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
 def write_summary(result: ExperimentResult, path: str) -> None:
     """Write mean/std aggregates (header: model,method,ratio,auc_mean,
     auc_std,f1_mean,f1_std,coverage_mean,coverage_std), atomically."""
-    with replacing_file(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for s in summarize(result):
-            writer.writerow([
-                s.model, s.method, _fmt(s.ratio, "g"),
-                _fmt(s.auc_mean), _fmt(s.auc_std),
-                _fmt(s.f1_mean), _fmt(s.f1_std),
-                _fmt(s.coverage_mean), _fmt(s.coverage_std),
-            ])
+    _write_table(path, SUMMARY_HEADER, ([
+        s.model, s.method, _fmt(s.ratio, "g"),
+        _fmt(s.auc_mean), _fmt(s.auc_std),
+        _fmt(s.f1_mean), _fmt(s.f1_std),
+        _fmt(s.coverage_mean), _fmt(s.coverage_std),
+    ] for s in summarize(result)))

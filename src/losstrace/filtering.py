@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -74,17 +74,10 @@ class FilterReport:
     discard: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "tau": self.tau,
-            "m": None if self.m is None else self.m.tolist(),
-            "v": None if self.v is None else self.v.tolist(),
-            "threshold_m": self.threshold_m,
-            "threshold_v": self.threshold_v,
-            "s_m": self.s_m.tolist(),
-            "s_v": self.s_v.tolist(),
-            "discard": self.discard.tolist(),
-        }
+        """The fields in declaration order, arrays as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in values.items()}
 
     def write(self, path: str) -> None:
         """Write to_dict as indented JSON, atomically."""

@@ -29,16 +29,16 @@ def _check_scored(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     return scores, labels.astype(np.int8)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, tied values sharing the mean of their ranks (the
-    tie rule of scipy.stats.rankdata, computed the same way)."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.append(True, ordered[1:] != ordered[:-1])
-    dense = np.empty(values.size, dtype=np.intp)
-    dense[order] = np.cumsum(starts)
-    count = np.append(np.flatnonzero(starts), values.size)
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+def _tie_groups(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Equal scores as groups, in ascending score order: each group's
+    representative index (its highest original index), size and count of
+    positive labels. None depends on the order within a group, so the sort
+    need not be stable."""
+    order = np.argsort(scores)
+    ordered = scores[order]
+    first = np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1]))
+    pos = np.add.reduceat(labels[order], first, dtype=np.int64)
+    return np.maximum.reduceat(order, first), np.diff(first, append=scores.size), pos
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -49,10 +49,12 @@ def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC needs at least one positive and one negative label")
-    ranks = _average_ranks(scores)  # exact half-integers
-    pos_rank_sum = ranks[labels == 1].sum()
-    u = pos_rank_sum - n_pos * (n_pos + 1) / 2
-    return float(u / (n_pos * n_neg))
+    _, size, pos = _tie_groups(scores, labels)
+    neg = size - pos
+    # twice the Mann-Whitney U: each positive beats the negatives below its
+    # group and ties half of those in it; integers, so exact
+    u2 = int(np.dot(pos, 2 * (np.cumsum(neg) - neg) + neg))
+    return u2 / 2 / (n_pos * n_neg)
 
 
 def best_f1(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -67,24 +69,13 @@ def best_f1(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise MetricError("best F1 needs at least one positive label")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    tp_cum = np.cumsum(labels[order])
-    # last occurrence of each distinct score in the descending order = the
-    # full prediction set {score >= threshold}
-    last = np.flatnonzero(
-        np.append(sorted_scores[1:] != sorted_scores[:-1], True)
-    )
-    tp = tp_cum[last].astype(np.float64)
-    predicted = (last + 1).astype(np.float64)
-    fp = predicted - tp
-    fn = n_pos - tp
-    f1 = 2.0 * tp / (2.0 * tp + fp + fn)
-    best = f1.max()
-    # thresholds descend along `last`; the final index with the best F1 is
-    # the smallest threshold achieving it
-    idx = np.flatnonzero(f1 == best)[-1]
-    return float(best), float(sorted_scores[last[idx]])
+    rep, size, pos = _tie_groups(scores, labels)
+    # suffix sums: the prediction set {score >= threshold} of each group
+    tp = np.cumsum(pos[::-1])[::-1]
+    predicted = np.cumsum(size[::-1])[::-1]
+    f1 = 2.0 * tp / (predicted + n_pos)  # 2tp + fp + fn = predicted + n_pos
+    idx = int(np.argmax(f1))  # the first best is the smallest threshold
+    return float(f1[idx]), float(scores[rep[idx]])
 
 
 def coverage(injected: Collection[int], discarded: Collection[int]) -> float | None:

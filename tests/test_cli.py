@@ -406,6 +406,25 @@ class TestFailuresExitOne:
         assert err.startswith(f"error: {checkpoint}: normalizer ")
         assert err.count("\n") == 1
 
+    # numpy raises ValueError, not MemoryError, for a shape it cannot index
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "prediction", "--hidden", str(10**30)],
+        ["train", "--hidden", "8", "--trial-epochs", str(10**30)],
+        ["generate", "--channels", str(10**24)],
+    ], ids=["prediction_hidden", "trial_epochs", "generate_channels"])
+    def test_unindexable_size_is_one_error_line(self, argv, dataset_dir,
+                                                tmp_path, capsys):
+        if argv[0] == "train":
+            argv = argv + ["--train-csv", str(dataset_dir / "train.csv"),
+                           "--checkpoint", str(tmp_path / "m.npz")]
+        else:
+            argv = argv + ["--out", str(tmp_path / "big")]
+        capsys.readouterr()
+        assert run_cli(*argv, "--seed", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSweepFailsBeforeWriting:
     """Dataset, label and architecture errors, and a damaged results.csv,
@@ -953,6 +972,26 @@ def test_ctrl_c_is_one_error_line(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run_cli("generate", "--out", str(tmp_path), "--seed", "1") == 130
     assert capsys.readouterr().err == "error: interrupted\n"
+
+
+def test_ctrl_c_while_parsing_is_one_error_line(monkeypatch, capsys):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_build_parser", interrupted)
+    capsys.readouterr()
+    assert run_cli("generate", "--out", "o", "--seed", "1") == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+
+
+def test_other_value_errors_still_raise(tmp_path, monkeypatch):
+    """Only numpy's two size errors read as out of memory."""
+    def broken(args):
+        raise ValueError("setting an array element with a sequence")
+
+    monkeypatch.setattr(cli, "_cmd_generate", broken)
+    with pytest.raises(ValueError, match="with a sequence"):
+        run_cli("generate", "--out", str(tmp_path), "--seed", "1")
 
 
 def test_flag_defaults_are_the_dataclass_defaults():

@@ -480,6 +480,26 @@ class TestRobustTrain:
         assert loaded["s_v"] == [0, 1]
         assert loaded["discard"] == [0, 1, 8, 9]
 
+    def test_report_file_text(self, tmp_path):
+        """The exact file: keys in field order, indent 2, null and []."""
+        report = filtering.FilterReport(
+            "combined", 0.25, m=np.array([0.5, 3.0]), v=np.array([2.5, 0.0]),
+            threshold_m=1.25, threshold_v=0.125, s_m=np.array([1]),
+            s_v=np.array([0]), discard=np.array([0, 1]))
+        report.write(str(tmp_path / "combined.json"))
+        assert (tmp_path / "combined.json").read_text() == (
+            '{\n  "method": "combined",\n  "tau": 0.25,\n'
+            '  "m": [\n    0.5,\n    3.0\n  ],\n'
+            '  "v": [\n    2.5,\n    0.0\n  ],\n'
+            '  "threshold_m": 1.25,\n  "threshold_v": 0.125,\n'
+            '  "s_m": [\n    1\n  ],\n  "s_v": [\n    0\n  ],\n'
+            '  "discard": [\n    0,\n    1\n  ]\n}\n')
+        filtering.FilterReport("vanilla", 0.2).write(str(tmp_path / "vanilla.json"))
+        assert (tmp_path / "vanilla.json").read_text() == (
+            '{\n  "method": "vanilla",\n  "tau": 0.2,\n  "m": null,\n'
+            '  "v": null,\n  "threshold_m": null,\n  "threshold_v": null,\n'
+            '  "s_m": [],\n  "s_v": [],\n  "discard": []\n}\n')
+
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
             filtering.RobustTrainConfig(train=models.TrainConfig(), tau=0.0)

@@ -163,6 +163,32 @@ class TestBestF1:
         fixed = 2 * tp / (2 * tp + fp + fn) if tp else 0.0
         assert best >= fixed
 
+    def test_threshold_bits_against_enumeration(self):
+        """Ties across -0.0/0.0 and infinite scores: the F1 and the exact
+        bits of the threshold, which is the element of its group of equal
+        scores with the highest index."""
+        rng = np.random.default_rng(5)
+        special = [-np.inf, -0.0, 0.0, 1.0, 2.0, np.inf]
+        for _ in range(300):
+            t = int(rng.integers(2, 40))
+            scores = np.where(rng.random(t) < 0.5, rng.choice(special, t),
+                              np.round(rng.normal(size=t), 1))
+            labels = rng.integers(0, 2, size=t)
+            labels[int(rng.integers(t))] = 1
+            n_pos = int(labels.sum())
+            best = None
+            for i in range(t):
+                if (scores[i + 1:] == scores[i]).any():
+                    continue  # not the last of its group
+                chosen = scores >= scores[i]
+                f1 = 2 * int(labels[chosen].sum()) / (int(chosen.sum()) + n_pos)
+                if best is None or f1 > best[0] or (
+                        f1 == best[0] and scores[i] < best[1]):
+                    best = (f1, scores[i])
+            f1, threshold = metrics.best_f1(scores, labels)
+            assert f1 == best[0]
+            assert np.float64(threshold).tobytes() == np.float64(best[1]).tobytes()
+
 
 class TestCoverage:
     def test_partial_overlap(self):
