@@ -80,9 +80,19 @@ class FilterReport:
                 for k, v in values.items()}
 
     def write(self, path: str) -> None:
-        """Write to_dict as indented JSON, atomically."""
+        """Write to_dict as indented JSON, atomically: the text of json.dump
+        with indent=2, each field encoded by json.dumps without indent, which
+        takes the C encoder that indent turns off."""
+        items = []
+        for key, value in self.to_dict().items():
+            if isinstance(value, list) and value:
+                body = json.dumps(value, separators=(",\n    ", ": "))[1:-1]
+                text = f"[\n    {body}\n  ]"
+            else:
+                text = json.dumps(value)
+            items.append(f"  {json.dumps(key)}: {text}")
         with replacing_file(path) as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            fh.write("{\n" + ",\n".join(items) + "\n}")
             fh.write("\n")
 
 
@@ -127,18 +137,21 @@ def record_trial_traces(
 
 def metric_m(trace: LossTrace) -> np.ndarray:
     """Mean trial-epoch loss per sample (the initialization column is
-    excluded: the mean runs over epochs 1..N)."""
-    return trace.losses[:, 1:].mean(axis=1)
+    excluded: the mean runs over epochs 1..N). A sum that overflows gives
+    inf, which select_discard rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return trace.losses[:, 1:].mean(axis=1)
 
 
 def metric_v(trace: LossTrace) -> np.ndarray:
     """Population standard deviation of each sample's per-epoch loss updates.
 
     The N updates are consecutive differences of the trace, the first taken
-    against the initialization-time loss.
+    against the initialization-time loss. A square that overflows gives
+    inf, which select_discard rejects.
     """
-    deltas = np.diff(trace.losses, axis=1)
-    return deltas.std(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.diff(trace.losses, axis=1).std(axis=1)
 
 
 def quantile_threshold(values: np.ndarray, q: float) -> float:
@@ -161,7 +174,7 @@ def select_discard(
     likewise for v. The discard set is S_m, S_v or their union, depending
     on the method. Ties at the threshold are retained. Vanilla filters
     nothing, so its report is FilterReport(VANILLA, tau) and it is not a
-    method here.
+    method here. An m or v that is not finite raises FilterError.
     """
     m = np.asarray(m, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -170,6 +183,8 @@ def select_discard(
                           f"got {m.shape} and {v.shape}")
     if method not in FILTER_METHODS:
         raise ConfigError(f"method must be one of {FILTER_METHODS}, got {method!r}")
+    if not (np.isfinite(m).all() and np.isfinite(v).all()):
+        raise FilterError("m or v is not finite: the trial losses overflow")
     q_m = quantile_threshold(m, 1.0 - tau)
     q_v = quantile_threshold(v, 1.0 - tau)
     s_m = np.flatnonzero(m > q_m)

@@ -160,7 +160,8 @@ def train_epoch(
     a function of (config.seed, epoch) and of the mask size only, so training
     with mask M is parameter-identical to training on a dataset physically
     reduced to M. The windows and the optimizer state are checked against the
-    model once here; the steps themselves run unchecked.
+    model once here, and the parameters once the unchecked steps are done:
+    parameters no longer finite raise NumericError naming the epoch, from 1.
     """
     _check_batch(model, windows.data)
     nn._check_mirrors(model.net, state.grads)
@@ -174,10 +175,14 @@ def train_epoch(
             raise TrainingError(f"mask indices out of range 0..{len(windows) - 1}")
     rng = np.random.default_rng([config.seed, epoch])
     order = order[rng.permutation(order.size)]
-    for start in range(0, order.size, config.batch_size):
-        batch_idx = order[start : start + config.batch_size]
-        x, y = _window_io(model, windows.data[batch_idx])
-        nn.train_step(model.net, state, x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, order.size, config.batch_size):
+            batch_idx = order[start : start + config.batch_size]
+            x, y = _window_io(model, windows.data[batch_idx])
+            nn.train_step(model.net, state, x, y)
+    if not np.isfinite(model.net.flat).all():
+        raise NumericError(f"training diverged in epoch {epoch + 1}: the "
+                           f"parameters are no longer finite")
 
 
 @dataclass

@@ -362,6 +362,30 @@ class TestFailuresExitOne:
             "error: anomaly scores are not finite: the model's losses overflow\n")
         assert not (tmp_path / "scores.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    @pytest.mark.parametrize("rate, method, message", [
+        ("1e300", "vanilla", "training diverged in epoch 1: the parameters are "
+                             "no longer finite"),
+        ("1e300", "combined", "training diverged in epoch 1: the parameters are "
+                              "no longer finite"),
+        ("1e100", "combined", "m or v is not finite: the trial losses overflow"),
+    ], ids=["diverging_vanilla", "diverging_combined", "overflowing_metrics"])
+    def test_numeric_failure_in_training_is_one_error_line(
+            self, kind, rate, method, message, dataset_dir, tmp_path, capsys):
+        """Parameters that stop being finite, or trial losses whose m or v
+        overflow, end train in one error line, with no numpy warning and
+        no checkpoint or report written."""
+        ckpt, report = tmp_path / "model.npz", tmp_path / "report.json"
+        capsys.readouterr()
+        assert run_cli(
+            "train", "--train-csv", str(dataset_dir / "train.csv"),
+            "--model", kind, "--window", "6", "--stride", "3", "--hidden", "4",
+            "--learning-rate", rate, "--method", method, "--seed", "0",
+            "--checkpoint", str(ckpt), "--report", str(report)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not ckpt.exists() and not report.exists()
+
     def test_unwritable_scores_path_names_it(self, checkpoint, dataset_dir,
                                              tmp_path, capsys):
         target = tmp_path / "nodir" / "x.csv"
@@ -620,6 +644,32 @@ class TestSweepCommand:
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 5  # header, 2 methods x 2 repetitions
         assert all(line.split(",")[4] != "NA" for line in lines[1:])  # auc
+
+    def test_diverging_cells_are_na_rows_without_warnings(self, tmp_path):
+        """Every cell of a diverging sweep is an NA row whose logged error
+        names the epoch, and stderr holds no numpy warning, pooled or not."""
+        cfg = sweep_config(tmp_path, model_kinds=list(models.MODEL_KINDS),
+                           train={**SWEEP_CONFIG["train"], "learning_rate": 1e300})
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        stderr = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            done = subprocess.run(
+                [sys.executable, "-m", "losstrace.cli", "sweep", "--config",
+                 str(cfg), "--seed", "7", "--out", str(out), "--workers", workers],
+                env=env, capture_output=True, text=True, check=True)
+            rows = (out / "results.csv").read_text().splitlines()[1:]
+            assert len(rows) == 16
+            assert all(row.split(",")[4] == "NA" for row in rows)  # auc
+            lines = done.stderr.splitlines()
+            assert len(lines) == len(rows) + 1  # one per cell, then the hint
+            assert all(": training diverged in epoch " in line
+                       for line in lines[:-1])
+            assert "RuntimeWarning" not in done.stderr
+            stderr.append(done.stderr)
+        assert stderr[0] == stderr[1]
 
     def test_unknown_config_key_fails_without_writes(self, tmp_path):
         cfg = sweep_config(tmp_path, bogus_key=1)

@@ -257,6 +257,23 @@ class TestSelectDiscard:
         with pytest.raises(FilterError):
             filtering.select_discard(m, v, tau=0.5, method="combined")
 
+    @pytest.mark.parametrize("metric, value", [
+        ("v", np.inf), ("m", np.inf), ("m", np.nan)])
+    def test_nonfinite_metric_is_fatal(self, metric, value):
+        m, v = np.arange(5.0), np.arange(5.0)
+        {"m": m, "v": v}[metric][3] = value
+        with pytest.raises(FilterError, match="^m or v is not finite"):
+            filtering.select_discard(m, v, tau=0.2, method="combined")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trace_is_fatal_without_a_warning(self):
+        """Finite losses whose updates overflow the std give inf v, silently."""
+        trace = filtering.LossTrace(np.array([[1.0, 1e200, 1.0]] * 3))
+        v = filtering.metric_v(trace)
+        assert np.isposinf(v).all()
+        with pytest.raises(FilterError, match="^m or v is not finite"):
+            filtering.select_discard(filtering.metric_m(trace), v, tau=0.2)
+
     def test_ties_at_threshold_are_retained(self):
         m = np.array([1.0, 2.0, 2.0, 2.0, 2.0])
         report = filtering.select_discard(m, np.zeros(5), tau=0.2, method="m_only")

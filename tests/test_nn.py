@@ -249,11 +249,21 @@ class TestOptimizer:
         assert loss < 1e-3
 
     def test_nonfinite_gradient_raises(self):
+        """The Adam step runs unchecked: a NaN gradient makes NaN parameters,
+        and train_epoch raises after the steps of the epoch."""
         net = nn.init_network([2, 2], seed=0)
         state = nn.init_optimizer(net)
         state.grads[0][0][...] = np.nan
-        with pytest.raises(NumericError):
-            nn._adam(net, state)
+        nn._adam(net, state)
+        assert np.isnan(net.layers[0].weights).all()
+        model = models.build_model("reconstruction", 3, 1, hidden_sizes=(2,))
+        windows = np.arange(12.0).reshape(4, 3, 1)
+        windows[2, 1] = np.nan  # a WindowSet takes non-finite data
+        ws = data.WindowSet(3, windows, np.zeros(4), np.arange(4))
+        state = nn.init_optimizer(model.net)
+        cfg = models.TrainConfig(batch_size=2)
+        with pytest.raises(NumericError, match="^training diverged in epoch 3: "):
+            models.train_epoch(model, state, ws, cfg, epoch=2)
 
     def test_deterministic_training_trajectory(self):
         def run():
