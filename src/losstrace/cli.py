@@ -233,10 +233,11 @@ def load_sweep_config(path: str, base_seed: int) -> SweepConfig:
     """Parse the JSON sweep config.
 
     Every key and the type of every value are checked here, so a config
-    that loads can fail only on a value out of range.
+    that loads can fail only on a value out of range. A leading UTF-8
+    byte-order mark is skipped.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None

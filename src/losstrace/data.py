@@ -105,13 +105,14 @@ class WindowSet:
 
 def load_csv(path: str) -> MultivariateSeries:
     """Read a series from CSV: header of channel names, optional trailing
-    'label' column of 0/1, one row per timestep.
+    'label' column of 0/1, one row per timestep. A leading UTF-8 byte-order
+    mark is skipped.
 
     Parse failures name the offending data row (1-based) and column. A path
     that cannot be opened or read raises ConfigError.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             series = _parse_table(fh)
             if series is None:
                 fh.seek(0)

@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache, partial
 from pathlib import Path
 
@@ -60,14 +60,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_RATIOS = (0.0, 0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.10, 0.13, 0.16, 0.20)
 
-RAW_HEADER = [
-    "model", "method", "ratio", "seed", "auc", "best_f1", "coverage",
-    "discard_size", "wall_time_s",
-]
-SUMMARY_HEADER = [
-    "model", "method", "ratio", "auc_mean", "auc_std", "f1_mean", "f1_std",
-    "coverage_mean", "coverage_std",
-]
 NA = "NA"
 
 
@@ -117,7 +109,7 @@ class SweepConfig:
         for key, entries, note in (
                 ("model_kinds", self.model_kinds, ""),
                 ("methods", self.methods, ""),
-                ("ratios", [f"{r:g}" for r in self.ratios], " (as %g)")):
+                ("ratios", [_cell("ratio", r) for r in self.ratios], " (as %g)")):
             repeated = sorted({e for e in entries if entries.count(e) > 1})
             if repeated:
                 raise ConfigError(f"{key} lists {', '.join(repeated)} more "
@@ -140,16 +132,19 @@ class ResultRow:
     method: str
     ratio: float
     seed: int
-    auc: float | None
-    best_f1: float | None
-    coverage: float | None
-    discard_size: int | None
-    wall_time_s: float | None
-    error: str | None = None
+    auc: float | None = None
+    best_f1: float | None = None
+    coverage: float | None = None
+    discard_size: int | None = None
+    wall_time_s: float | None = None
+    error: str | None = None  # logged, never written
 
     @property
     def ok(self) -> bool:
         return self.auc is not None
+
+
+RAW_HEADER = [f.name for f in fields(ResultRow) if f.name != "error"]
 
 
 @dataclass
@@ -170,9 +165,10 @@ class DataBundle:
 def prepare_data(cfg: SweepConfig) -> DataBundle:
     """Load or generate the dataset, normalize it, and cut windows.
 
-    Raises ConfigError for a test series without labels or with one class,
-    for too few training windows, and for flagged training windows that a
-    ratio above 0 would inject into: every cell would fail on them.
+    Raises ConfigError for a test series without labels, with one class or
+    with another channel count than the training series, for too few
+    training windows, and for flagged training windows that a ratio above
+    0 would inject into: every cell would fail on them.
     """
     if cfg.synthetic is not None:
         train, test = generate_synthetic(cfg.synthetic)
@@ -184,6 +180,10 @@ def prepare_data(cfg: SweepConfig) -> DataBundle:
         if test.labels is None:
             raise ConfigError(f"{cfg.test_csv}: test series has no label "
                               f"column; a sweep needs labels to evaluate")
+        if test.channels != train.channels:
+            raise ConfigError(f"{cfg.test_csv}: test series has {test.channels} "
+                              f"channels but training series {cfg.train_csv} "
+                              f"has {train.channels}")
     classes = np.unique(test.labels).tolist()
     if classes != [0, 1]:
         raise ConfigError(f"{source}: test labels hold only {classes}; a sweep "
@@ -287,8 +287,7 @@ def run_cell(
     except Exception:
         error = f"unexpected error\n{traceback.format_exc().rstrip()}"
     name = f"cell model={kind} method={method} ratio={ratio:g} rep={rep}"
-    return ResultRow(kind, method, float(ratio), seed, None, None, None, None,
-                     None, error=f"{name}: {error}")
+    return ResultRow(kind, method, float(ratio), seed, error=f"{name}: {error}")
 
 
 def _model_factory(cfg: SweepConfig, kind: str, bundle: DataBundle) -> ModelFactory:
@@ -482,34 +481,31 @@ def run_sweep(
     return ExperimentResult(rows)
 
 
-def _fmt(value: float | int | None, spec: str = "r") -> str:
+def _cell(column: str, value: float | int | str | None) -> str:
+    """A table cell as results.csv and summary.csv write it."""
     if value is None:
         return NA
-    if spec == "g":
+    if column == "ratio":
         return f"{value:g}"
-    if spec == "t":
+    if column == "wall_time_s":
         return f"{value:.3f}"
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return repr(float(value))
 
 
 def _write_table(path: str, header: list[str], rows) -> None:
-    """Write a header and rows of cells as CSV, atomically."""
+    """Write the header, then the attributes it names of each row, atomically."""
     with replacing_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_cell(k, getattr(row, k)) for k in header]
+                         for row in rows)
 
 
 def write_results(result: ExperimentResult, path: str) -> None:
-    """Write the raw per-cell CSV (header: model,method,ratio,seed,auc,
-    best_f1,coverage,discard_size,wall_time_s), atomically."""
-    _write_table(path, RAW_HEADER, ([
-        r.model, r.method, _fmt(r.ratio, "g"), str(r.seed),
-        _fmt(r.auc), _fmt(r.best_f1), _fmt(r.coverage),
-        _fmt(r.discard_size), _fmt(r.wall_time_s, "t"),
-    ] for r in result.rows))
+    """Write the raw per-cell CSV (header: RAW_HEADER), atomically."""
+    _write_table(path, RAW_HEADER, result.rows)
 
 
 def read_results_if_exists(path: str) -> list[ResultRow]:
@@ -574,6 +570,9 @@ class SummaryRow:
     coverage_std: float | None
 
 
+SUMMARY_HEADER = [f.name for f in fields(SummaryRow)]
+
+
 def summarize(result: ExperimentResult) -> list[SummaryRow]:
     """Mean and population standard deviation per (model, method, ratio),
     over successful rows; groups keep their order of first appearance."""
@@ -600,11 +599,5 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
 
 
 def write_summary(result: ExperimentResult, path: str) -> None:
-    """Write mean/std aggregates (header: model,method,ratio,auc_mean,
-    auc_std,f1_mean,f1_std,coverage_mean,coverage_std), atomically."""
-    _write_table(path, SUMMARY_HEADER, ([
-        s.model, s.method, _fmt(s.ratio, "g"),
-        _fmt(s.auc_mean), _fmt(s.auc_std),
-        _fmt(s.f1_mean), _fmt(s.f1_std),
-        _fmt(s.coverage_mean), _fmt(s.coverage_std),
-    ] for s in summarize(result)))
+    """Write summarize's aggregates (header: SUMMARY_HEADER), atomically."""
+    _write_table(path, SUMMARY_HEADER, summarize(result))

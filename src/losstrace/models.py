@@ -28,7 +28,9 @@ CHECKPOINT_FORMAT = "losstrace-checkpoint"
 CHECKPOINT_VERSION = 1
 
 # most windows per slice of a loss pass: bounds its memory, and is above every
-# batch passed today, since smaller slices can change the last bits of a loss
+# training-side pass (at most 29,993 windows in the benchmarks), since smaller
+# slices can change the last bits of a loss; scoring a longer series, such as
+# a 60,000-step test series (59,985 windows), runs in slices
 LOSS_PASS_ROWS = 1 << 15
 
 # architecture defaults of build_model, which SweepConfig and the train

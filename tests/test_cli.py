@@ -6,10 +6,12 @@ import inspect
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from losstrace import cli, data, experiment, filtering, models
 from losstrace.cli import cli_main
-from losstrace.errors import ToolkitError
+from losstrace.errors import NumericError, ToolkitError
 from losstrace.experiment import SweepConfig
 
 
@@ -249,6 +251,30 @@ class TestTrainEvaluate:
         assert code == 1
         assert err == ("error: discarding 2 of 5 windows leaves 3; the final "
                        "fit needs at least 5\n")
+
+    def test_utf8_bom_in_training_csv(self, dataset_dir, tmp_path, capsys):
+        """A training CSV saved with a byte-order mark trains the checkpoint
+        of the file without one, and evaluate on a test CSV without one
+        does not warn about channel names."""
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (dataset_dir / "train.csv").read_bytes())
+        entries = []
+        for train_csv in (dataset_dir / "train.csv", bom):
+            ckpt = tmp_path / f"{train_csv.stem}.npz"
+            assert run_cli(
+                "train", "--train-csv", str(train_csv),
+                "--window", "6", "--stride", "6", "--hidden", "4",
+                "--method", "combined", "--trial-epochs", "2", "--epochs", "2",
+                "--seed", "5", "--checkpoint", str(ckpt),
+            ) == 0
+            with np.load(ckpt) as npz:
+                entries.append({k: (npz[k].dtype.str, npz[k].tobytes())
+                                for k in npz.files})
+        assert entries[0] == entries[1]
+        capsys.readouterr()
+        assert run_cli("evaluate", "--test-csv", str(dataset_dir / "test.csv"),
+                       "--checkpoint", str(ckpt)) == 0
+        assert capsys.readouterr().err == ""
 
     def test_evaluate_channel_mismatch_fails(self, dataset_dir, tmp_path, capsys):
         ckpt = tmp_path / "model.npz"
@@ -493,6 +519,20 @@ class TestSweepFailsBeforeWriting:
         })
         self.assert_aborted(cfg, tmp_path, capsys, "unlabeled.csv", "label")
 
+    def test_channel_count_mismatch_names_both_files(self, dataset_dir,
+                                                      tmp_path, capsys):
+        test = data.load_csv(str(dataset_dir / "test.csv"))
+        wide = tmp_path / "wide.csv"
+        data.write_csv(data.MultivariateSeries(
+            np.hstack([test.values, test.values[:, :1]]), test.labels,
+            ["c0", "c1", "c2"]), str(wide))
+        train_csv = str(dataset_dir / "train.csv")
+        cfg = sweep_config(tmp_path, dataset={"train_csv": train_csv,
+                                              "test_csv": str(wide)})
+        self.assert_aborted(cfg, tmp_path, capsys,
+                            f"{wide}: test series has 3 channels",
+                            f"training series {train_csv} has 2")
+
     def test_one_class_test_labels(self, tmp_path, capsys):
         cfg = sweep_config(tmp_path, dataset={"synthetic": {
             "channels": 2, "length": 600, "periods": [30],
@@ -634,6 +674,43 @@ class TestSweepCommand:
         assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
+    def test_record_timing_changes_only_wall_time(self, tmp_path, monkeypatch):
+        """--record-timing writes an ok row's wall time with three decimals
+        and a failed row's as NA, every other cell as an untimed run does;
+        a re-run into the finished directory runs no cell and rewrites
+        results.csv byte for byte."""
+        def no_trace(*args):
+            raise NumericError("no trace")
+
+        cfg = str(sweep_config(tmp_path))
+        sweep = partial(run_cli, "sweep", "--config", cfg, "--seed", "7", "--out")
+        with monkeypatch.context() as patch:  # every combined cell fails
+            patch.setattr(experiment, "record_trial_traces", no_trace)
+            assert sweep(str(tmp_path / "untimed")) == 0
+            assert sweep(str(tmp_path / "timed"), "--record-timing") == 0
+        tables = [(tmp_path / out / "results.csv").read_text().splitlines()
+                  for out in ("untimed", "timed")]
+        header, *rows = (line.split(",") for line in tables[1])
+        assert header[-1] == "wall_time_s" and len(rows) == 8
+        for row, untimed in zip(rows, tables[0][1:]):
+            assert ",".join(row[:-1] + ["NA"]) == untimed
+            if row[1] == "combined":
+                assert row[4] == row[-1] == "NA"  # auc
+            else:
+                assert re.fullmatch(r"\d+\.\d{3}", row[-1]), row[-1]
+
+        results = tmp_path / "timed" / "results.csv"
+        assert sweep(str(tmp_path / "timed"), "--record-timing") == 0  # retried
+        finished = results.read_bytes()
+        assert b",NA\n" not in finished
+
+        def no_cell(*args):
+            raise AssertionError("a finished sweep ran a cell")
+
+        monkeypatch.setattr(experiment, "run_cell", no_cell)
+        assert sweep(str(tmp_path / "timed"), "--record-timing") == 0
+        assert results.read_bytes() == finished
+
     def test_flagged_training_windows_at_ratio_zero(self, dataset_dir,
                                                     tmp_path):
         cfg = sweep_config(tmp_path, ratios=[0.0],
@@ -759,6 +836,13 @@ class TestLoadSweepConfig:
             message = str(exc)
             assert message and "\n" not in message
             message.encode("utf-8")  # printable to stderr
+
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text(json.dumps(SWEEP_CONFIG), encoding="utf-8")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert (cli.load_sweep_config(str(bom), 7)
+                == cli.load_sweep_config(str(plain), 7))
 
     @settings(max_examples=200, deadline=None)
     @given(content=st.binary(max_size=64))

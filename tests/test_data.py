@@ -69,6 +69,15 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="non-finite"):
             data.load_csv(str(p))
 
+    @pytest.mark.parametrize("body", ["1,2\n3,4\n", '"1",2\n3,4\n'],
+                             ids=["table_parse", "row_parser"])
+    def test_utf8_bom_is_skipped(self, body, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + f"c0,c1\n{body}".encode())
+        s = data.load_csv(str(p))
+        assert s.channel_names == ["c0", "c1"]
+        assert s.values.tolist() == [[1, 2], [3, 4]]
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         s = series(
@@ -87,7 +96,7 @@ class TestLoadCsv:
 def reference_load(path):
     """load_csv through the row parser alone."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return data._parse_csv(fh, str(path))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: not a readable CSV file: {exc}") from None
