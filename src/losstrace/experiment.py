@@ -21,13 +21,14 @@ import logging
 import signal
 import time
 import traceback
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cache, partial
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -159,7 +160,6 @@ class DataBundle:
     train_windows: WindowSet
     pool: WindowSet  # anomalous test windows, contamination source
     test: MultivariateSeries
-    test_windows: np.ndarray  # every stride-1 window of test, as scored
 
 
 def prepare_data(cfg: SweepConfig) -> DataBundle:
@@ -184,6 +184,10 @@ def prepare_data(cfg: SweepConfig) -> DataBundle:
             raise ConfigError(f"{cfg.test_csv}: test series has {test.channels} "
                               f"channels but training series {cfg.train_csv} "
                               f"has {train.channels}")
+        if test.channel_names != train.channel_names:
+            logger.warning("channel names differ: %s has %s, %s has %s",
+                           cfg.train_csv, train.channel_names, cfg.test_csv,
+                           test.channel_names)
     classes = np.unique(test.labels).tolist()
     if classes != [0, 1]:
         raise ConfigError(f"{source}: test labels hold only {classes}; a sweep "
@@ -200,10 +204,7 @@ def prepare_data(cfg: SweepConfig) -> DataBundle:
     test = apply_normalizer(norm, test)
     test_windows = make_windows(test, cfg.window, 1)
     pool = test_windows.subset(np.flatnonzero(test_windows.flags == 1))
-    # a contiguous copy: every cell scores it, and loss passes run slower
-    # on the overlapping view
-    return DataBundle(train_windows, pool, test,
-                      np.ascontiguousarray(test_windows.data))
+    return DataBundle(train_windows, pool, test)
 
 
 CellCoord = tuple[str, str, float, int]
@@ -274,7 +275,7 @@ def run_cell(
         if method != VANILLA and group.trace is None:
             group.trace = record_trial_traces(factory, train_ws, rc)
         model, report = robust_train(factory, train_ws, rc, group.trace)
-        scores = anomaly_scores(model, bundle.test, bundle.test_windows)
+        scores = anomaly_scores(model, bundle.test)
         auc = auc_roc(scores, bundle.test.labels)
         f1, _threshold = best_f1(scores, bundle.test.labels)
         cov = (None if method == VANILLA
@@ -533,11 +534,8 @@ def read_results_if_exists(path: str) -> list[ResultRow]:
         try:
             if len(cells) != len(RAW_HEADER):
                 raise ValueError(f"{len(cells)} cells, expected {len(RAW_HEADER)}")
-            model, method, ratio, seed, auc, f1, cov, discard, wall = cells
-            row = ResultRow(
-                model, method, float(ratio), int(seed), _parse(auc),
-                _parse(f1), _parse(cov), _parse(discard, int), _parse(wall),
-            )
+            row = ResultRow(**{name: _PARSERS[name](cell)
+                               for name, cell in zip(RAW_HEADER, cells)})
             for name in ("auc", "best_f1", "coverage"):
                 value = getattr(row, name)
                 if value is not None and not 0.0 <= value <= 1.0:
@@ -553,8 +551,14 @@ def read_results_if_exists(path: str) -> list[ResultRow]:
     return rows
 
 
-def _parse(cell: str, kind: type = float) -> float | int | None:
-    return None if cell == NA else kind(cell)
+def _parser(hint: object) -> Callable[[str], object]:
+    """The parser of a stored cell of a ResultRow field of type hint: str,
+    int or float, or one of them or None, which is stored as NA."""
+    kind, *optional = get_args(hint) or (hint,)
+    return (lambda cell: None if cell == NA else kind(cell)) if optional else kind
+
+
+_PARSERS = {name: _parser(hint) for name, hint in get_type_hints(ResultRow).items()}
 
 
 @dataclass

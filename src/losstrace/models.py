@@ -228,15 +228,13 @@ def fit(
     return FitResult(len(history), best_epoch, history)
 
 
-def anomaly_scores(model: TsadModel, series: MultivariateSeries,
-                   windows: np.ndarray | None = None) -> np.ndarray:
+def anomaly_scores(model: TsadModel, series: MultivariateSeries) -> np.ndarray:
     """Per-timestep anomaly scores over a series.
 
     The model loss is computed for the window at every origin; a timestep's
-    score is the maximum loss over all windows covering it. windows may
-    hold those (n, w, d) stride-1 windows, already cut: a contiguous copy
-    spares every loss pass copying the overlapping windows of the series.
-    A loss that is not finite raises NumericError.
+    score is the maximum loss over all windows covering it. The windows are
+    a read-only view of the series, so only one loss-pass slice of them is
+    copied at a time. A loss that is not finite raises NumericError.
     """
     w = model.window
     if series.channels != model.channels:
@@ -248,12 +246,8 @@ def anomaly_scores(model: TsadModel, series: MultivariateSeries,
         raise ShapeError(
             f"series length {series.length} shorter than window {w}"
         )
-    if windows is None:
-        windows = np.lib.stride_tricks.sliding_window_view(
-            series.values, w, axis=0).transpose(0, 2, 1)
-    elif len(windows) != series.length - w + 1:
-        raise ShapeError(f"{len(windows)} windows do not cover a series of "
-                         f"length {series.length} at stride 1")
+    windows = np.lib.stride_tricks.sliding_window_view(
+        series.values, w, axis=0).transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         losses = sample_losses(model, windows)
     if not np.isfinite(losses).all():

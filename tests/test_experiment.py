@@ -7,13 +7,14 @@ import ctypes
 import dataclasses
 import logging
 import os
+import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from losstrace import cli, data, experiment, filtering, models
+from losstrace import cli, data, experiment, filtering, metrics, models
 from losstrace.data import SyntheticConfig
 from losstrace.errors import ConfigError, ToolkitError
 from losstrace.seeding import derive_seed
@@ -201,22 +202,24 @@ class TestRunCell:
 
     @pytest.mark.parametrize("kind", models.MODEL_KINDS)
     def test_scores_the_bundle_windows(self, kind, monkeypatch):
-        """run_cell scores the stride-1 test windows prepare_data keeps,
-        with the scores anomaly_scores computes from the series alone."""
+        """run_cell scores the windows of the bundle's test series, through
+        the one scoring path that evaluate takes too."""
         cfg = tiny_config(model_kinds=(kind,), horizon=2)
         bundle = experiment.prepare_data(cfg)
         scored = []
 
-        def recording(model, series, windows=None):
-            scores = models.anomaly_scores(model, series, windows)
-            scored.append((model, windows, scores))
+        def recording(model, series):
+            scores = models.anomaly_scores(model, series)
+            scored.append((model, series, scores))
             return scores
 
         monkeypatch.setattr(experiment, "anomaly_scores", recording)
-        assert experiment.run_cell(cfg, kind, "combined", 0.1, 0, bundle).ok
-        [(model, windows, scores)] = scored
-        assert windows is bundle.test_windows and windows.flags.c_contiguous
-        assert scores.tobytes() == models.anomaly_scores(model, bundle.test).tobytes()
+        row = experiment.run_cell(cfg, kind, "combined", 0.1, 0, bundle)
+        [(model, series, scores)] = scored
+        assert series is bundle.test
+        expected = models.anomaly_scores(model, bundle.test)
+        assert scores.tobytes() == expected.tobytes()
+        assert row.auc == metrics.auc_roc(expected, bundle.test.labels)
 
 
 class TestPrepareData:
@@ -228,6 +231,45 @@ class TestPrepareData:
         )  # clean test set: no cell could compute an AUC
         with pytest.raises(ConfigError, match="test labels hold only"):
             experiment.prepare_data(cfg)
+
+    def test_holds_no_copy_of_the_test_windows(self):
+        """The bundle holds the series and the anomaly pool, not the w-fold
+        copy of every stride-1 test window (2.3 MB here)."""
+        cfg = tiny_config(synthetic=dataclasses.replace(
+            tiny_config().synthetic, length=3000), window=48, train_stride=48)
+        experiment.prepare_data(cfg)  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bundle = experiment.prepare_data(cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the normalized training and test series, of one length each
+        series = 2 * bundle.test.values.nbytes
+        assert held <= 2 * (series + bundle.pool.data.nbytes)
+
+    @pytest.mark.parametrize("test_header", ["x,y,label", "c0,c1,label"])
+    def test_warns_when_csv_channel_names_differ(self, tmp_path, caplog,
+                                                 test_header):
+        train, test = data.generate_synthetic(tiny_config().synthetic)
+        train_csv, test_csv = str(tmp_path / "train.csv"), str(tmp_path / "test.csv")
+        data.write_csv(train, train_csv)
+        data.write_csv(test, test_csv)
+        header, body = Path(test_csv).read_text().split("\n", 1)
+        assert header == "c0,c1,label" and train.channel_names == ["c0", "c1"]
+        Path(test_csv).write_text(f"{test_header}\n{body}")
+        cfg = tiny_config(synthetic=None, train_csv=train_csv, test_csv=test_csv)
+        with caplog.at_level(logging.WARNING, logger="losstrace.experiment"):
+            experiment.prepare_data(cfg)
+        if test_header == header:
+            assert not caplog.records
+            return
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            f"channel names differ: {train_csv} has ['c0', 'c1'], "
+            f"{test_csv} has ['x', 'y']")
 
 
 class TestSweep:

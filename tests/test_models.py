@@ -344,20 +344,6 @@ class TestAnomalyScores:
         assert scores.shape == (50,)
         assert np.isfinite(scores).all()
 
-    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
-    def test_precut_windows_give_the_same_scores(self, kind):
-        m = models.build_model(kind, 6, 2, horizon=2, hidden_sizes=(4,), seed=2)
-        series = toy_series(t=50, d=2, seed=3)
-        windows = data.make_windows(series, 6, 1).data
-        assert (models.anomaly_scores(m, series, windows).tobytes()
-                == models.anomaly_scores(m, series).tobytes())
-
-    def test_precut_windows_must_cover_the_series(self):
-        m = identity_reconstruction_model(4, 2)
-        series = toy_series(t=30, d=2)
-        with pytest.raises(ShapeError, match="do not cover"):
-            models.anomaly_scores(m, series, data.make_windows(series, 4, 2).data)
-
 
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
