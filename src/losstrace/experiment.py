@@ -7,10 +7,12 @@ summary CSV suitable for plotting metric-vs-ratio curves. The cells of one
 the base seed and those coordinates alone: every method trains on the same
 contaminated windows, with the same split and initialisations, so the
 methods' rows are paired. The group is the unit of work, serial and
-pooled; its first filtering method records the trial trace and every
-filtering method trains on it. Results do not depend on execution order or
-worker count, and an interrupted sweep can be resumed (completed rows are
-kept, failed or missing cells are recomputed).
+pooled: one function runs its pending cells in turn and holds what they
+share, the contaminated windows and the trial trace that its first
+filtering method records and every filtering method trains on. Results do
+not depend on execution order or worker count, and an interrupted sweep can
+be resumed (completed rows are kept, failed or missing cells are
+recomputed).
 """
 
 from __future__ import annotations
@@ -229,66 +231,11 @@ def cell_seed(cfg: SweepConfig, kind: str, method: str, ratio: float,
     return derive_seed(cfg.base_seed, kind, float(ratio), rep)
 
 
-@dataclass
-class CellGroup:
-    """What the cells of one (kind, ratio, rep) group share, made by the
-    first cell that needs it: the contaminated training windows with the
-    injected indices, and the trial trace of the filtering methods."""
-
-    contaminated: tuple[WindowSet, set[int]] | None = None
-    trace: LossTrace | None = None
-
-
-def run_cell(
-    cfg: SweepConfig,
-    kind: str,
-    method: str,
-    ratio: float,
-    rep: int,
-    bundle: DataBundle,
-    group: CellGroup | None = None,
-) -> ResultRow:
-    """Run one sweep cell on prepare_data's bundle: contaminate, record the
-    trial trace (filtering methods), robust-train on it, score, evaluate.
-    The cells of one group may pass one CellGroup to share its work; the
-    rows are the same without it.
-
-    A cell that fails returns its NA row instead of raising. The row's
-    error is "<cell>: <message>" for a ToolkitError, and "<cell>:
-    unexpected error" with the traceback for any other Exception.
-    KeyboardInterrupt propagates."""
-    group = CellGroup() if group is None else group
-    seed = cell_seed(cfg, kind, method, ratio, rep)
-    start = time.perf_counter()
-    try:
-        if group.contaminated is None:
-            if ratio > 0:
-                spec = ContaminationSpec(ratio, derive_seed(seed, "inject"),
-                                         bundle.pool)
-                group.contaminated = inject_contamination(bundle.train_windows,
-                                                          spec)
-            else:
-                group.contaminated = bundle.train_windows, set()
-        train_ws, injected = group.contaminated
-        rc = cfg.train_config(method, derive_seed(seed, "train"))
-        factory = _model_factory(cfg, kind, bundle)
-        if method != VANILLA and group.trace is None:
-            group.trace = record_trial_traces(factory, train_ws, rc)
-        model, report = robust_train(factory, train_ws, rc, group.trace)
-        scores = anomaly_scores(model, bundle.test)
-        auc = auc_roc(scores, bundle.test.labels)
-        f1, _threshold = best_f1(scores, bundle.test.labels)
-        cov = (None if method == VANILLA
-               else coverage(injected, report.discard.tolist()))
-        wall = time.perf_counter() - start
-        return ResultRow(kind, method, float(ratio), seed, auc, f1, cov,
-                         int(report.discard.size), wall)
-    except ToolkitError as exc:
-        error = str(exc)
-    except Exception:
-        error = f"unexpected error\n{traceback.format_exc().rstrip()}"
-    name = f"cell model={kind} method={method} ratio={ratio:g} rep={rep}"
-    return ResultRow(kind, method, float(ratio), seed, error=f"{name}: {error}")
+def run_cell(cfg: SweepConfig, kind: str, method: str, ratio: float, rep: int,
+             bundle: DataBundle) -> ResultRow:
+    """Run one sweep cell on prepare_data's bundle as a group of its one
+    method: the row the cell gets in a sweep, or its NA row."""
+    return _run_group_task((cfg, kind, ratio, rep, (method,)), bundle)[0]
 
 
 def _model_factory(cfg: SweepConfig, kind: str, bundle: DataBundle) -> ModelFactory:
@@ -302,11 +249,55 @@ GroupTask = tuple[SweepConfig, str, float, int, tuple[str, ...]]
 
 
 def _run_group_task(task: GroupTask, bundle: DataBundle) -> list[ResultRow]:
-    """Run a group's pending cells, sharing one CellGroup."""
+    """Run a group's pending cells on prepare_data's bundle, one row per
+    method: contaminate, record the trial trace (filtering methods),
+    robust-train on it, score, evaluate. The first cell that needs the
+    contaminated windows makes them, and the first filtering cell the trial
+    trace, inside its own wall time; the later cells reuse them.
+
+    A cell that fails is its NA row, and the group goes on. The row's error
+    is "<cell>: <message>" for a ToolkitError, and "<cell>: unexpected
+    error" with the traceback for any other Exception. KeyboardInterrupt
+    propagates."""
     cfg, kind, ratio, rep, methods = task
-    group = CellGroup()
-    return [run_cell(cfg, kind, method, ratio, rep, bundle, group)
-            for method in methods]
+    seed = cell_seed(cfg, kind, methods[0], ratio, rep)  # the group's seed
+    factory = _model_factory(cfg, kind, bundle)
+    contaminated: tuple[WindowSet, set[int]] | None = None
+    trace: LossTrace | None = None
+    rows = []
+    for method in methods:
+        start = time.perf_counter()
+        try:
+            if contaminated is None:
+                if ratio > 0:
+                    spec = ContaminationSpec(ratio, derive_seed(seed, "inject"),
+                                             bundle.pool)
+                    contaminated = inject_contamination(bundle.train_windows,
+                                                        spec)
+                else:
+                    contaminated = bundle.train_windows, set()
+            train_ws, injected = contaminated
+            rc = cfg.train_config(method, derive_seed(seed, "train"))
+            if method != VANILLA and trace is None:
+                trace = record_trial_traces(factory, train_ws, rc)
+            model, report = robust_train(factory, train_ws, rc, trace)
+            scores = anomaly_scores(model, bundle.test)
+            auc = auc_roc(scores, bundle.test.labels)
+            f1, _threshold = best_f1(scores, bundle.test.labels)
+            cov = (None if method == VANILLA
+                   else coverage(injected, report.discard.tolist()))
+            wall = time.perf_counter() - start
+            rows.append(ResultRow(kind, method, float(ratio), seed, auc, f1, cov,
+                                  int(report.discard.size), wall))
+            continue
+        except ToolkitError as exc:
+            error = str(exc)
+        except Exception:
+            error = f"unexpected error\n{traceback.format_exc().rstrip()}"
+        name = f"cell model={kind} method={method} ratio={ratio:g} rep={rep}"
+        rows.append(ResultRow(kind, method, float(ratio), seed,
+                              error=f"{name}: {error}"))
+    return rows
 
 
 # a pool worker's copy of the sweep's bundle, set once by _init_worker
@@ -393,7 +384,7 @@ def run_sweep(
     architecture errors raise instead of failing every cell, before
     raw_path's directory is created. A forking pool starts all its workers
     at once, so at most one per pending group is asked for. A cell that
-    fails is the NA row run_cell returns, its error logged here; the sweep
+    fails is the NA row its group returns, its error logged here; the sweep
     goes on, and the next resume retries the cell. A pool worker that dies
     ends the sweep with a ToolkitError, and its rows are lost. Ctrl-C (a
     SIGINT to the process group) ends every pool worker at once; a SIGINT

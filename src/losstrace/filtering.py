@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .data import MIN_SPLIT_WINDOWS, WindowSet, replacing_file, split_train_val
-from .errors import ConfigError, FilterError
+from .errors import ConfigError, FilterError, NumericError
 from .models import FitResult, TrainConfig, TsadModel, fit, sample_losses, train_epoch
 from .nn import init_optimizer
 from .seeding import derive_seed
@@ -217,14 +217,23 @@ def final_fit(
     """Step 3: train a fresh model on the given ascending rows of windows,
     with a 4:1 train/validation split of the rows and early stopping. The
     training rows train in place, through fit's mask; only the validation
-    fifth is copied."""
+    fifth is copied. A fit whose best mean validation loss is above the
+    untrained model's raises NumericError; with no finite one, it is inf."""
     final_seed = derive_seed(config.seed, "final-model")
     split_seed = derive_seed(config.seed, "train-val-split")
     final_cfg = replace(config, seed=derive_seed(config.seed, "final-train"))
     model = model_factory(final_seed)
     train_rows, val_rows = split_train_val(rows, split_seed)
-    result = fit(model, windows, final_cfg, windows.subset(val_rows),
-                 mask=train_rows)
+    val = windows.subset(val_rows)
+    untrained = float(np.mean(sample_losses(model, val)))
+    result = fit(model, windows, final_cfg, val, mask=train_rows)
+    # fit restores its best epoch, if any loss was finite
+    best = (result.val_history[result.best_epoch] if result.best_epoch >= 0
+            else math.inf)
+    if best > untrained:
+        raise NumericError(f"training diverged: the best validation loss "
+                           f"{best:.6g} is above the untrained model's "
+                           f"{untrained:.6g}")
     return model, result
 
 

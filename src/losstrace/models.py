@@ -206,7 +206,8 @@ def fit(
     Only the windows listed in mask train (None means all), as in
     train_epoch. Stops once the mean validation loss has not improved for
     config.patience consecutive epochs and restores the best parameters
-    seen into model.net.
+    seen into model.net. A validation loss that overflows is inf, with no
+    warning, and never the best.
     """
     best_val = np.inf
     best_epoch = -1
@@ -215,7 +216,8 @@ def fit(
     state = nn.init_optimizer(model.net, config.learning_rate)
     for epoch in range(config.epochs):
         train_epoch(model, state, windows, config, epoch, mask)
-        val = float(np.mean(sample_losses(model, val_windows)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = float(np.mean(sample_losses(model, val_windows)))
         history.append(val)
         if val < best_val:
             best_val = val

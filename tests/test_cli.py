@@ -396,12 +396,16 @@ class TestFailuresExitOne:
         ("1e300", "combined", "training diverged in epoch 1: the parameters are "
                               "no longer finite"),
         ("1e100", "combined", "m or v is not finite: the trial losses overflow"),
-    ], ids=["diverging_vanilla", "diverging_combined", "overflowing_metrics"])
+        ("1e100", "vanilla", r"training diverged: the best validation loss "
+                             r"\S+e\+\d+ is above the untrained model's \d\S*"),
+    ], ids=["diverging_vanilla", "diverging_combined", "overflowing_metrics",
+            "diverged_final_fit"])
     def test_numeric_failure_in_training_is_one_error_line(
             self, kind, rate, method, message, dataset_dir, tmp_path, capsys):
-        """Parameters that stop being finite, or trial losses whose m or v
-        overflow, end train in one error line, with no numpy warning and
-        no checkpoint or report written."""
+        """Parameters that stop being finite, trial losses whose m or v
+        overflow, or a final fit that ends worse than it started, end train
+        in one error line, with no numpy warning and no checkpoint or
+        report written."""
         ckpt, report = tmp_path / "model.npz", tmp_path / "report.json"
         capsys.readouterr()
         assert run_cli(
@@ -409,7 +413,7 @@ class TestFailuresExitOne:
             "--model", kind, "--window", "6", "--stride", "3", "--hidden", "4",
             "--learning-rate", rate, "--method", method, "--seed", "0",
             "--checkpoint", str(ckpt), "--report", str(report)) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
         assert not ckpt.exists() and not report.exists()
 
     def test_unwritable_scores_path_names_it(self, checkpoint, dataset_dir,
@@ -707,7 +711,7 @@ class TestSweepCommand:
         def no_cell(*args):
             raise AssertionError("a finished sweep ran a cell")
 
-        monkeypatch.setattr(experiment, "run_cell", no_cell)
+        monkeypatch.setattr(experiment, "_run_group_task", no_cell)
         assert sweep(str(tmp_path / "timed"), "--record-timing") == 0
         assert results.read_bytes() == finished
 

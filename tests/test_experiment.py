@@ -8,6 +8,7 @@ import dataclasses
 import logging
 import os
 import tracemalloc
+import types
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
@@ -362,7 +363,7 @@ class TestSweep:
         def never(*args, **kwargs):
             raise AssertionError("a completed cell was recomputed")
 
-        monkeypatch.setattr(experiment, "run_cell", never)
+        monkeypatch.setattr(experiment, "_run_group_task", never)
         resumed = experiment.run_sweep(cfg, raw_path=str(path))
         assert [r.ratio for r in resumed.rows] == [0.123456789] * 2
         experiment.write_results(resumed, str(path))
@@ -454,17 +455,62 @@ class TestSweep:
         path.write_text("".join(kept))
 
         calls = []
-        real_run_cell = experiment.run_cell
+        real_run_group = experiment._run_group_task
 
-        def counted(cfg, kind, method, ratio, rep, bundle, group=None):
-            calls.append((kind, method, ratio, rep))
-            return real_run_cell(cfg, kind, method, ratio, rep, bundle, group)
+        def counted(task, bundle):
+            _cfg, kind, ratio, rep, methods = task
+            calls.append((kind, methods, ratio, rep))
+            return real_run_group(task, bundle)
 
-        monkeypatch.setattr(experiment, "run_cell", counted)
+        monkeypatch.setattr(experiment, "_run_group_task", counted)
         resumed = experiment.run_sweep(cfg, raw_path=str(path))
-        assert calls == [("reconstruction", "m_only", 0.1, 1)]
+        assert calls == [("reconstruction", ("m_only",), 0.1, 1)]
         experiment.write_results(resumed, str(path))
         assert path.read_bytes() == full
+
+    @pytest.mark.parametrize("methods, walls", [
+        (ALL_METHODS, [100.0, 10.0, 0.0, 0.0]),
+        (("combined", "vanilla"), [110.0, 0.0]),
+    ], ids=["vanilla_first", "filtering_first"])
+    def test_first_cells_carry_the_shared_work(self, methods, walls,
+                                               monkeypatch):
+        """A group's first cell carries the contamination in its wall time,
+        its first filtering cell the trial phase, and later cells neither:
+        a clock that only the two shared steps advance reads exactly that."""
+        now = [0.0]
+
+        def advancing(fn, seconds):
+            def timed(*args, **kwargs):
+                now[0] += seconds
+                return fn(*args, **kwargs)
+            return timed
+
+        monkeypatch.setattr(experiment, "time",
+                            types.SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(experiment, "inject_contamination", advancing(
+            experiment.inject_contamination, 100.0))
+        monkeypatch.setattr(experiment, "record_trial_traces", advancing(
+            experiment.record_trial_traces, 10.0))
+        cfg = tiny_config(methods=methods, ratios=(0.1,), repetitions=1)
+        result = experiment.run_sweep(cfg, record_timing=True)
+        assert [r.method for r in result.rows] == list(methods)
+        assert [r.wall_time_s for r in result.rows] == walls
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverged_final_fit_is_an_na_row(self, caplog):
+        """A final fit that ends worse than it started fails its cell, for
+        either model kind, and the sweep goes on."""
+        cfg = tiny_config(model_kinds=models.MODEL_KINDS, methods=("vanilla",),
+                          ratios=(0.0,), repetitions=1, learning_rate=1e100)
+        with caplog.at_level(logging.ERROR, logger="losstrace.experiment"):
+            result = experiment.run_sweep(cfg)
+        assert [(r.model, r.ok) for r in result.rows] == [
+            (kind, False) for kind in models.MODEL_KINDS]
+        for row in result.rows:
+            assert row.error.startswith(
+                f"cell model={row.model} method=vanilla ratio=0 rep=0: training "
+                f"diverged: the best validation loss ")
+            assert row.error in caplog.text
 
     def test_resume_warns_about_unplanned_rows(self, tmp_path, caplog):
         cfg = tiny_config()

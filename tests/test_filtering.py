@@ -3,6 +3,7 @@ robust-training pipeline semantics."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from losstrace import data, filtering, models, nn
-from losstrace.errors import ConfigError, FilterError
+from losstrace.errors import ConfigError, FilterError, NumericError
 from losstrace.seeding import derive_seed
 
 
@@ -325,6 +326,29 @@ class TestRobustTrain:
         assert len(fits) == 1 and result is fits[0]
         assert result.epochs_run == len(result.val_history) >= 1
         assert 0 <= result.best_epoch < result.epochs_run
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, rate", [
+        *((kind, 1e100) for kind in models.MODEL_KINDS),
+        ("reconstruction", 1e154),  # every validation loss overflows: inf
+    ])
+    def test_final_fit_refuses_a_diverged_fit(self, kind, rate):
+        """A learning rate that makes every epoch worse, with parameters
+        that stay finite, raises NumericError naming both losses, and no
+        numpy warning when the validation losses overflow."""
+        ws = toy_windows(n=40, w=6, seed=5)
+
+        def factory(seed):
+            return models.build_model(kind, 6, 2, hidden_sizes=(4,), seed=seed)
+
+        train = models.TrainConfig(epochs=3, batch_size=8, learning_rate=rate,
+                                   seed=0)
+        with pytest.raises(NumericError) as raised:
+            filtering.final_fit(factory, ws, train, np.arange(40))
+        best, untrained = re.fullmatch(
+            r"training diverged: the best validation loss (\S+) is above "
+            r"the untrained model's (\S+)", str(raised.value)).groups()
+        assert float(best) > 1e100 and 0 < float(untrained) < 10
 
     def test_deterministic(self):
         ws = toy_windows(n=30, seed=4)
