@@ -161,16 +161,11 @@ def _parse_table(fh) -> MultivariateSeries | None:
         return None
     if table.shape != (lines, len(names) + has_labels):
         return None
-    values = np.ascontiguousarray(table[:, : len(names)])
-    if not np.isfinite(values).all():
+    if not np.isfinite(table).all():
         return None
-    labels = None
-    if has_labels:
-        column = table[:, -1]
-        if not ((column == 0.0) | (column == 1.0)).all():
-            return None
-        labels = column.astype(np.int8)
-    return MultivariateSeries(values, labels, names)
+    if has_labels and not ((table[:, -1] == 0.0) | (table[:, -1] == 1.0)).all():
+        return None
+    return _series(table, names, has_labels)
 
 
 def _parse_csv(fh, path: str) -> MultivariateSeries:
@@ -182,9 +177,13 @@ def _parse_csv(fh, path: str) -> MultivariateSeries:
     names, has_labels = _split_header(header)
     if not names:
         raise ParseError(f"{path}: no data columns in header")
-    width = len(header)
-    values: list[list[float]] = []
-    labels: list[int] = []
+    width, d = len(header), len(names)
+    rows: list[list[float]] = []
+
+    def error(rownum: int, col: int, problem: str) -> ParseError:
+        return ParseError(f"{path}: row {rownum}, column {header[col]!r}: "
+                          f"{problem}")
+
     for rownum, row in enumerate(reader, start=1):
         if len(row) != width:
             raise ParseError(
@@ -192,42 +191,32 @@ def _parse_csv(fh, path: str) -> MultivariateSeries:
                 f"got {len(row)}"
             )
         parsed = []
-        for col, cell in zip(names, row):
+        # the first d cells are channels, a cell after them the label
+        for col, cell in enumerate(row):
             try:
                 value = float(cell)
             except ValueError:
-                raise ParseError(
-                    f"{path}: row {rownum}, column {col!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"{path}: row {rownum}, column {col!r}: non-finite value"
-                )
+                raise error(rownum, col,
+                            f"cannot parse {cell!r} as a number") from None
+            if col < d and not math.isfinite(value):
+                raise error(rownum, col, "non-finite value")
+            if col == d and value not in (0.0, 1.0):
+                raise error(rownum, col, f"expected 0 or 1, got {cell!r}")
             parsed.append(value)
-        values.append(parsed)
-        if has_labels:
-            cell = row[-1]
-            try:
-                lab = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {rownum}, column 'label': "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-            if lab not in (0.0, 1.0):
-                raise ParseError(
-                    f"{path}: row {rownum}, column 'label': "
-                    f"expected 0 or 1, got {cell!r}"
-                )
-            labels.append(int(lab))
-    if not values:
+        rows.append(parsed)
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    return MultivariateSeries(
-        np.array(values, dtype=np.float64),
-        np.array(labels, dtype=np.int8) if has_labels else None,
-        list(names),
-    )
+    return _series(np.array(rows, dtype=np.float64), names, has_labels)
+
+
+def _series(table: np.ndarray, names: list[str],
+            has_labels: bool) -> MultivariateSeries:
+    """The series of a parsed (rows, cells) table: the channel cells as a
+    C-contiguous copy, so normalizer statistics sum them in the same order
+    whichever parser read them, and the label cells, each 0 or 1, as int8."""
+    labels = table[:, -1].astype(np.int8) if has_labels else None
+    return MultivariateSeries(np.ascontiguousarray(table[:, : len(names)]),
+                              labels, list(names))
 
 
 @contextlib.contextmanager
@@ -291,21 +280,27 @@ class Normalizer:
 
 
 def fit_normalizer(train: MultivariateSeries) -> Normalizer:
-    """Per-channel population mean/std; constant channels get a floored std."""
+    """Per-channel population mean/std; constant channels get a floored std.
+    Statistics that overflow are inf or nan, with no warning, which
+    Normalizer rejects."""
     if train.length < 2:
         raise ConfigError("need at least 2 timesteps to fit a normalizer")
-    mean = train.values.mean(axis=0)
-    std = train.values.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.values.mean(axis=0)
+        std = train.values.std(axis=0)
     return Normalizer(mean, np.maximum(std, Normalizer.STD_FLOOR))
 
 
 def apply_normalizer(norm: Normalizer, series: MultivariateSeries) -> MultivariateSeries:
+    """The series standardized by norm; a value that overflows is inf, with
+    no warning, which MultivariateSeries rejects."""
     if series.channels != norm.mean.shape[0]:
         raise ConfigError(
             f"normalizer has {norm.mean.shape[0]} channels, series has "
             f"{series.channels}"
         )
-    values = (series.values - norm.mean) / norm.std
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (series.values - norm.mean) / norm.std
     labels = None if series.labels is None else series.labels.copy()
     return MultivariateSeries(values, labels, list(series.channel_names))
 
@@ -392,6 +387,7 @@ def _seasonal_base(
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic(
     cfg: SyntheticConfig,
 ) -> tuple[MultivariateSeries, MultivariateSeries]:
@@ -400,7 +396,8 @@ def generate_synthetic(
     The train split is anomaly-free (labels all zero). The test split gets
     labeled anomaly segments of the configured types: additive spikes of at
     least 5x the noise sigma, level shifts, and local frequency changes.
-    Deterministic per seed.
+    Deterministic per seed. A noise sigma so large that values overflow
+    gives no warning; MultivariateSeries rejects the values.
     """
     rng = np.random.default_rng(cfg.seed)
     amps = rng.uniform(0.5, 1.0, size=(len(cfg.periods), cfg.channels))

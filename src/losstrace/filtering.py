@@ -106,6 +106,8 @@ class RobustTrainConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"tau must be in (0, 1), got {self.tau}")
+        if 1.0 - self.tau == 1.0:  # 1 - tau is select_discard's quantile level
+            raise ConfigError(f"tau {self.tau} is too small: 1 - tau rounds to 1")
         if self.trial_epochs < 1:
             raise ConfigError(f"trial epochs must be >= 1, got {self.trial_epochs}")
         if self.method not in METHODS:

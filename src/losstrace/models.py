@@ -132,11 +132,13 @@ def _check_batch(model: TsadModel, batch: np.ndarray) -> None:
 
 
 def sample_losses(model: TsadModel, windows: WindowSet | np.ndarray) -> np.ndarray:
-    """Per-sample losses of every window, in equal slices of <= LOSS_PASS_ROWS."""
+    """Per-sample losses of every window, in equal slices of <= LOSS_PASS_ROWS.
+    A loss that overflows is inf or nan, with no numpy warning."""
     batch = windows.data if isinstance(windows, WindowSet) else np.asarray(windows)
     _check_batch(model, batch)
     parts = np.array_split(batch, max(1, math.ceil(len(batch) / LOSS_PASS_ROWS)))
-    return np.concatenate([_slice_losses(model, part) for part in parts])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([_slice_losses(model, part) for part in parts])
 
 
 def _slice_losses(model: TsadModel, part: np.ndarray) -> np.ndarray:
@@ -250,8 +252,7 @@ def anomaly_scores(model: TsadModel, series: MultivariateSeries) -> np.ndarray:
         )
     windows = np.lib.stride_tricks.sliding_window_view(
         series.values, w, axis=0).transpose(0, 2, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        losses = sample_losses(model, windows)
+    losses = sample_losses(model, windows)
     if not np.isfinite(losses).all():
         raise NumericError("anomaly scores are not finite: the model's "
                            "losses overflow")

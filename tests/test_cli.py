@@ -398,8 +398,13 @@ class TestFailuresExitOne:
         ("1e100", "combined", "m or v is not finite: the trial losses overflow"),
         ("1e100", "vanilla", r"training diverged: the best validation loss "
                              r"\S+e\+\d+ is above the untrained model's \d\S*"),
+        ("1e154", "combined", "trace losses must be finite and non-negative"),
+        # every validation loss overflows, or (prediction) their mean does
+        ("1e154", "vanilla", r"training diverged: the best validation loss "
+                             r"inf is above the untrained model's \d\S*"),
     ], ids=["diverging_vanilla", "diverging_combined", "overflowing_metrics",
-            "diverged_final_fit"])
+            "diverged_final_fit", "overflowing_trial_losses",
+            "overflowing_validation_losses"])
     def test_numeric_failure_in_training_is_one_error_line(
             self, kind, rate, method, message, dataset_dir, tmp_path, capsys):
         """Parameters that stop being finite, trial losses whose m or v
@@ -566,6 +571,7 @@ class TestSweepFailsBeforeWriting:
         ({"window": 2.5}, "'window' must be an integer"),
         # ranges, checked as early
         ({"tau": 1.5}, "tau must be in (0, 1)"),
+        ({"tau": 1e-17}, "tau 1e-17 is too small: 1 - tau rounds to 1"),
         ({"train": {"learning_rate": float("inf")}},
          "learning rate must be finite and > 0, got inf"),
         ({"dataset": {"synthetic": {"length": 600, "periods": [30],
@@ -593,8 +599,8 @@ class TestSweepFailsBeforeWriting:
         ({"ratios": [0.0, 0.1, 0.1]}, "ratios lists 0.1 more than once"),
         ({"ratios": [0.1, 0.1000001]}, "ratios lists 0.1 more than once (as %g)"),
     ], ids=["synthetic", "hidden_sizes", "methods", "ratios", "window", "tau",
-            "learning_rate_inf", "noise_sigma_inf", "window_0", "train_stride_0",
-            "window_too_long", "no_hidden_layer", "hidden_size_0",
+            "tau_too_small", "learning_rate_inf", "noise_sigma_inf", "window_0",
+            "train_stride_0", "window_too_long", "no_hidden_layer", "hidden_size_0",
             "seed_negative", "train_windows_too_few", "repeated_grid",
             "repeated_methods", "repeated_method_alias", "repeated_ratios",
             "repeated_ratios_as_g"])

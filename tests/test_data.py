@@ -78,6 +78,34 @@ class TestLoadCsv:
         assert s.channel_names == ["c0", "c1"]
         assert s.values.tolist() == [[1, 2], [3, 4]]
 
+    @pytest.mark.parametrize("text, expected", [
+        # a row's cells are checked in order, the label last
+        ("a,label\nx,2\n", "row 1, column 'a': cannot parse 'x' as a number"),
+        ("a,label\nnan,x\n", "row 1, column 'a': non-finite value"),
+        ("a,label\n1,nan\n", "row 1, column 'label': expected 0 or 1, got 'nan'"),
+        ("a,label\n1,2\n", "row 1, column 'label': expected 0 or 1, got '2'"),
+        ("a,label\n1,0.5\n", "row 1, column 'label': expected 0 or 1, got '0.5'"),
+        ("a,label\n1,0\n2,x\n",
+         "row 2, column 'label': cannot parse 'x' as a number"),
+        # a column named label before the last is a channel
+        ("label,b\nnan,0\n", "row 1, column 'label': non-finite value"),
+    ])
+    def test_error_texts(self, text, expected, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError) as info:
+            data.load_csv(str(p))
+        assert str(info.value) == f"{p}: {expected}"
+
+    @pytest.mark.parametrize("body", ["2,0\n", '"2",0\n'],
+                             ids=["table_parse", "row_parser"])
+    def test_data_column_named_label_is_a_channel(self, body, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("label,b\n" + body)
+        s = data.load_csv(str(p))
+        assert s.channel_names == ["label", "b"] and s.labels is None
+        assert s.values.tolist() == [[2.0, 0.0]]
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         s = series(
@@ -267,6 +295,18 @@ class TestNormalizer:
         with pytest.raises(ConfigError):
             data.fit_normalizer(series([[1.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_statistics_that_overflow_fail_without_a_warning(self):
+        s = series([[1e200], [-1e200], [1e200]])
+        with pytest.raises(ConfigError, match="^normalizer values must be finite"):
+            data.fit_normalizer(s)
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_that_overflow_fail_without_a_warning(self):
+        norm = data.Normalizer(np.array([1.0]), np.array([0.5]))
+        with pytest.raises(ConfigError, match="^series contains non-finite values$"):
+            data.apply_normalizer(norm, series([[1e308], [-1e308]]))
+
 
 class TestMakeWindows:
     def test_count(self):
@@ -411,6 +451,13 @@ class TestGenerateSynthetic:
         assert idx.size > 0
         deltas = np.abs(test.values[idx] - base.values[idx])
         assert deltas.min() >= 5.0 * cfg.noise_sigma
+
+    @pytest.mark.filterwarnings("error")
+    def test_noise_that_overflows_fails_without_a_warning(self):
+        cfg = data.SyntheticConfig(channels=2, length=600, periods=(30,),
+                                   noise_sigma=1e308, seed=0)
+        with pytest.raises(ConfigError, match="^series contains non-finite values$"):
+            data.generate_synthetic(cfg)
 
     def test_length_must_cover_periods(self):
         with pytest.raises(ConfigError):

@@ -113,6 +113,15 @@ class TestRecordTrialTraces:
         assert (filtering.record_trial_traces(make_factory(), ws, other_seed)
                 .losses.tobytes() != expected.losses.tobytes())
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_losses_are_fatal_without_a_warning(self):
+        """Trial losses that overflow end in the trace's FilterError, with
+        no numpy warning from the loss passes."""
+        cfg = trial_config(3, batch_size=8, learning_rate=1e154, seed=0)
+        with pytest.raises(FilterError, match="^trace losses must be finite"):
+            filtering.record_trial_traces(make_factory(w=6, hidden=(4,)),
+                                          toy_windows(n=40, w=6, seed=5), cfg)
+
     def test_columns_match_manual_recomputation(self):
         ws = toy_windows(n=10, seed=2)
         n_epochs = 3
@@ -548,6 +557,18 @@ class TestRobustTrain:
             filtering.RobustTrainConfig(train=models.TrainConfig(), trial_epochs=0)
         with pytest.raises(ConfigError):
             filtering.RobustTrainConfig(train=models.TrainConfig(), method="best")
+
+    @pytest.mark.parametrize("tau", [1e-17, 2.0**-54])
+    def test_tau_too_small_for_a_quantile(self, tau):
+        """select_discard thresholds at the 1 - tau quantile, so 1 - tau
+        must stay below 1: tau above 2**-54."""
+        with pytest.raises(ConfigError, match=f"^tau {tau} is too small: "
+                                              f"1 - tau rounds to 1$"):
+            filtering.RobustTrainConfig(train=models.TrainConfig(), tau=tau)
+        tau = math.nextafter(2.0**-54, 1.0)
+        cfg = filtering.RobustTrainConfig(train=models.TrainConfig(), tau=tau)
+        report = filtering.select_discard(np.arange(5.0), np.arange(5.0), cfg.tau)
+        assert report.discard.size == 0
 
     def test_protocol_defaults(self):
         cfg = filtering.RobustTrainConfig(train=models.TrainConfig())
