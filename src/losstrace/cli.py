@@ -15,6 +15,7 @@ import json
 import sys
 from functools import partial
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .data import (
     MultivariateSeries,
@@ -27,7 +28,8 @@ from .data import (
 )
 from .errors import ConfigError, ShapeError, ToolkitError
 from .experiment import (
-    SweepConfig, one_blas_thread, run_sweep, write_results, write_summary,
+    CONFIG_GROUPS, SweepConfig, one_blas_thread, run_sweep, write_results,
+    write_summary,
 )
 from .filtering import METHODS, RobustTrainConfig, robust_train
 from .metrics import auc_roc, best_f1
@@ -187,19 +189,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-# the JSON type of every sweep config value: [t] is a list of t; a number
-# may be an integer; true and false are of no type
-SWEEP_TYPES = {
-    "dataset": dict, "model_kinds": [str], "methods": [str], "ratios": [float],
-    "repetitions": int, "tau": float, "trial_epochs": int, "window": int,
-    "horizon": int, "hidden_sizes": [int], "train_stride": int, "train": dict,
-}
-TRAIN_TYPES = {"epochs": int, "batch_size": int, "learning_rate": float,
-               "patience": int}
-SYNTHETIC_TYPES = {"channels": int, "length": int, "periods": [int],
-                   "noise_sigma": float, "anomaly_types": [str],
-                   "anomaly_rate": float, "seed": int}
-CSV_TYPES = {"train_csv": str, "test_csv": str}
+# a number may be an integer; true and false are of no type
 TYPE_NAMES = {dict: ("an object", "objects"), str: ("a string", "strings"),
               int: ("an integer", "integers"), float: ("a number", "numbers")}
 
@@ -211,16 +201,20 @@ def _has_type(value, kind) -> bool:
         value, (int, float) if kind is float else kind)
 
 
-def _typed(path: str, where: str, block, types: dict) -> dict:
-    """The entries of a JSON object, after checking that every key is in
-    types and every value of the type given there; lists become tuples."""
+def _typed(path: str, where: str, block, hints: dict) -> dict:
+    """The entries of a JSON object, lists as tuples, after checking that
+    every key is in hints and every value of the JSON type of its hint: [t],
+    a list of t, for tuple[t, ...]; t for t | None; and dict, an object of
+    the dataclass's own fields, for a dataclass."""
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: {where} must be an object")
-    unknown = set(block) - set(types)
+    unknown = set(block) - set(hints)
     if unknown:
         raise ConfigError(f"{path}: unknown {where} keys {sorted(unknown)}")
     for key, value in block.items():
-        kind = types[key]
+        kind = (get_args(hints[key]) or (hints[key],))[0]
+        kind = ([kind] if get_origin(hints[key]) is tuple
+                else dict if dataclasses.is_dataclass(kind) else kind)
         if not _has_type(value, kind):
             name = (f"a list of {TYPE_NAMES[kind[0]][1]}" if isinstance(kind, list)
                     else TYPE_NAMES[kind][0])
@@ -247,17 +241,18 @@ def load_sweep_config(path: str, base_seed: int) -> SweepConfig:
     # RecursionError: arrays or objects nested too deeply
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    kwargs = _typed(path, "config", raw, SWEEP_TYPES)
-    kwargs.update(_typed(path, "train", kwargs.pop("train", {}), TRAIN_TYPES))
-    if "dataset" not in kwargs:
+    hints = get_type_hints(SweepConfig)
+    del hints["base_seed"]  # --seed sets it
+    groups = {group: {name: hints.pop(name) for name in names}
+              for group, names in CONFIG_GROUPS.items()}
+    kwargs = _typed(path, "config", raw, {**hints, **dict.fromkeys(groups, dict)})
+    for group, group_hints in groups.items():
+        kwargs.update(_typed(path, group, kwargs.pop(group, {}), group_hints))
+    if "dataset" not in raw:
         raise ConfigError(f"{path}: 'dataset' object is required")
-    dataset = kwargs.pop("dataset")
-    if "synthetic" in dataset:
-        synthetic = _typed(path, "dataset", dataset, {"synthetic": dict})["synthetic"]
-        kwargs["synthetic"] = SyntheticConfig(
-            **_typed(path, "synthetic", synthetic, SYNTHETIC_TYPES))
-    else:
-        kwargs.update(_typed(path, "dataset", dataset, CSV_TYPES))
+    if "synthetic" in kwargs:
+        kwargs["synthetic"] = SyntheticConfig(**_typed(
+            path, "synthetic", kwargs["synthetic"], get_type_hints(SyntheticConfig)))
     if "methods" in kwargs:
         kwargs["methods"] = tuple(_method_name(m) for m in kwargs["methods"])
     return SweepConfig(base_seed, **kwargs)

@@ -136,10 +136,11 @@ def _parse_table(fh) -> MultivariateSeries | None:
     file again and gives the result or the error.
 
     loadtxt skips blank lines and reads nan, inf and 1e400, all of which
-    _parse_csv rejects; it rejects quoted cells and 1_5, which _parse_csv
-    reads. Its result is kept only when there is one row per line, every
-    value is finite and every label is 0 or 1; where both parsers accept a
-    cell they give the same float64.
+    _parse_csv rejects; it rejects 1_5, which _parse_csv reads. It reads
+    quoted cells as the csv module does, but a quoted line break makes one
+    row of two lines. Its result is kept only when there is one row per
+    line, every value is finite and every label is 0 or 1; where both
+    parsers accept a cell they give the same float64.
     """
     lines = 0
 
@@ -156,7 +157,7 @@ def _parse_table(fh) -> MultivariateSeries | None:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on an empty body
             table = np.loadtxt(body(), delimiter=",", comments=None, ndmin=2,
-                               dtype=np.float64)
+                               dtype=np.float64, quotechar='"')
     except (ValueError, Warning, csv.Error):  # UnicodeDecodeError included
         return None
     if table.shape != (lines, len(names) + has_labels):

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import hashlib
+import json
 import logging
 import signal
 import time
@@ -27,7 +29,7 @@ from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cache, partial
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -64,6 +66,10 @@ logger = logging.getLogger(__name__)
 DEFAULT_RATIOS = (0.0, 0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.10, 0.13, 0.16, 0.20)
 
 NA = "NA"
+
+# the SweepConfig fields that the sweep config file nests in an object each
+CONFIG_GROUPS = {"train": ("epochs", "batch_size", "learning_rate", "patience"),
+                 "dataset": ("synthetic", "train_csv", "test_csv")}
 
 
 @dataclass
@@ -127,6 +133,81 @@ class SweepConfig:
             TrainConfig(self.epochs, self.batch_size, self.learning_rate,
                         self.patience, seed),
             self.tau, self.trial_epochs, method)
+
+
+MANIFEST = "manifest.json"
+
+
+def sweep_manifest(cfg: SweepConfig) -> dict:
+    """Every setting that can move a row of cfg's sweep, as JSON: the base
+    seed, the config nested as the sweep config file nests it, and the
+    SHA-256 of each CSV input. An input that cannot be read raises
+    ConfigError."""
+    config = asdict(cfg)
+    base_seed = config.pop("base_seed")
+    groups = {group: {name: value for name in names
+                      if (value := config.pop(name)) is not None}
+              for group, names in CONFIG_GROUPS.items()}
+    inputs = ({} if cfg.synthetic is not None else
+              {"train_csv": _sha256(cfg.train_csv), "test_csv": _sha256(cfg.test_csv)})
+    return json.loads(json.dumps({"base_seed": base_seed,
+                                  "config": {**config, **groups},
+                                  "csv_sha256": inputs}))
+
+
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    return digest.hexdigest()
+
+
+def _check_manifest(directory: Path, manifest: dict) -> bool:
+    """Whether directory holds a manifest. One that cannot be read, or that
+    differs from manifest, raises a ToolkitError that names directory and,
+    for a difference, the first entry that differs."""
+    path = directory / MANIFEST
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+    except FileNotFoundError:
+        return False
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    # ValueError: not UTF-8, malformed JSON or an integer too long to
+    # convert; RecursionError: arrays or objects nested too deeply
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: not a readable manifest: {exc}") from None
+    if not isinstance(stored, dict):
+        raise ParseError(f"{path}: not a readable manifest: not a JSON object")
+    key = _first_difference(stored, manifest)
+    if key is not None:
+        raise ConfigError(
+            f"{directory}: its results come from another sweep configuration "
+            f"({key!r} differs from {MANIFEST}); re-run with the same config "
+            f"and base seed, or write to another output directory")
+    return True
+
+
+_ABSENT = object()
+
+
+def _first_difference(stored: object, current: object, key: str = "") -> str | None:
+    """The dotted name of the first entry in which two JSON values differ,
+    current's entries first, or None if they are equal."""
+    if not (isinstance(stored, dict) and isinstance(current, dict)):
+        return None if stored == current else key
+    for name in [*current, *(k for k in stored if k not in current)]:
+        found = _first_difference(stored.get(name, _ABSENT),
+                                  current.get(name, _ABSENT),
+                                  f"{key}.{name}" if key else name)
+        if found is not None:
+            return found
+    return None
 
 
 @dataclass
@@ -377,7 +458,11 @@ def run_sweep(
 ) -> ExperimentResult:
     """Execute all planned cells, reusing completed rows from raw_path.
 
-    Stored rows that match no planned (model, method, seed) are dropped
+    A raw_path that exists is resumed only if the sweep_manifest stored
+    beside it equals cfg's: one that differs or cannot be read raises
+    before anything is run or written. Without a stored manifest, its rows
+    are kept with one warning. The manifest is written once the cells have
+    run. Stored rows that match no planned (model, method, seed) are dropped
     with a warning. The pending cells run as groups of one (kind, ratio,
     rep) each. The dataset is prepared, and one model of each configured
     kind is built, once before any cell runs, so dataset, label and
@@ -398,6 +483,10 @@ def run_sweep(
     plan = plan_cells(cfg)
     done: dict[CellCoord, ResultRow] = {}
     if raw_path is not None:
+        manifest = sweep_manifest(cfg)
+        directory = Path(raw_path).parent
+        has_manifest = (Path(raw_path).exists()
+                        and _check_manifest(directory, manifest))
         # a stored row names its cell by (model, method, seed); its ratio
         # went through %g, so it may not equal the planned ratio
         by_seed = {(kind, method, cell_seed(cfg, kind, method, ratio, rep)):
@@ -415,6 +504,10 @@ def run_sweep(
             logger.warning("%s: dropped %d stored rows that match no planned "
                            "(model, method, seed); their cells are recomputed",
                            raw_path, unplanned)
+        if done and not has_manifest:
+            logger.warning("%s: no %s beside it, so the configuration of its "
+                           "%d stored rows cannot be checked; they are kept",
+                           raw_path, MANIFEST, len(done))
 
     groups: dict[tuple[str, float, int], list[str]] = {}
     for kind, method, ratio, rep in plan:
@@ -460,6 +553,9 @@ def run_sweep(
                 for task in tasks:
                     rows.extend(_run_group_task(task, bundle))
 
+    if raw_path is not None:  # after the cells: a sweep that raises writes none
+        with replacing_file(str(directory / MANIFEST)) as fh:
+            fh.write(json.dumps(manifest, indent=2) + "\n")
     for row in rows:
         if row.error:
             logger.error("sweep cell failed: %s", row.error)

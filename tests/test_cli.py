@@ -4,6 +4,7 @@ fresh interpreter imports."""
 import dataclasses
 import inspect
 import json
+import logging
 import multiprocessing
 import os
 import re
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from losstrace import cli, data, experiment, filtering, models
 from losstrace.cli import cli_main
-from losstrace.errors import NumericError, ToolkitError
+from losstrace.errors import ConfigError, NumericError, ToolkitError
 from losstrace.experiment import SweepConfig
 
 
@@ -276,6 +277,27 @@ class TestTrainEvaluate:
                        "--checkpoint", str(ckpt)) == 0
         assert capsys.readouterr().err == ""
 
+    def test_evaluate_warns_about_other_channel_names(self, dataset_dir, tmp_path,
+                                                      capsys):
+        ckpt = tmp_path / "m.npz"
+        assert run_cli(
+            "train", "--train-csv", str(dataset_dir / "train.csv"),
+            "--window", "6", "--stride", "6", "--hidden", "4",
+            "--method", "vanilla", "--epochs", "1", "--seed", "1",
+            "--checkpoint", str(ckpt),
+        ) == 0
+        header, *rows = (dataset_dir / "test.csv").read_text().splitlines(keepends=True)
+        assert header == "c0,c1,label\n"
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text("".join(["x,y,label\n", *rows]))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--test-csv", str(renamed),
+                       "--checkpoint", str(ckpt)) == 0
+        out, err = capsys.readouterr()
+        assert err == ("warning: channel names differ from checkpoint "
+                       "(['x', 'y'] vs ['c0', 'c1'])\n")
+        assert out.startswith("auc=")
+
     def test_evaluate_channel_mismatch_fails(self, dataset_dir, tmp_path, capsys):
         ckpt = tmp_path / "model.npz"
         run_cli(
@@ -366,6 +388,29 @@ class TestFailuresExitOne:
         assert code == 1
         assert err == (f"error: {ckpt}: checkpoint metadata '{key}' must be "
                        f"an integer, got {json.dumps(value)}\n")
+
+    @pytest.mark.parametrize("damage, message", [
+        ("not_object", "checkpoint metadata is not an object"),
+        ("version", "unsupported checkpoint version 99"),
+        ("not_json", "malformed checkpoint: Expecting property name enclosed "
+                     "in double quotes: line 1 column 2 (char 1)"),
+    ])
+    def test_bad_checkpoint_metadata(self, damage, message, checkpoint,
+                                     dataset_dir, tmp_path, capsys):
+        with np.load(checkpoint) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = {"not_object": "[1]", "not_json": "{",
+                "version": json.dumps({**json.loads(str(arrays["meta"])),
+                                       "version": 99})}[damage]
+        with open(checkpoint, "wb") as fh:
+            np.savez(fh, **dict(arrays, meta=np.array(meta)))
+        scores = tmp_path / "scores.csv"
+        capsys.readouterr()
+        code = run_cli("evaluate", "--test-csv", str(dataset_dir / "test.csv"),
+                       "--checkpoint", str(checkpoint), "--scores-out", str(scores))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {checkpoint}: {message}\n"
+        assert not scores.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", models.MODEL_KINDS)
@@ -608,6 +653,23 @@ class TestSweepFailsBeforeWriting:
         self.assert_aborted(sweep_config(tmp_path, **extra), tmp_path, capsys,
                             needle)
 
+    def test_unknown_method(self, tmp_path, capsys):
+        cfg = sweep_config(tmp_path, methods=["vanilla", "bogus"])
+        self.assert_aborted(cfg, tmp_path, capsys,
+                            "unknown method 'bogus'; choose from ")
+
+    def test_results_csv_with_another_header(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        results = out / "results.csv"
+        results.write_text("model,method,ratio\n")
+        capsys.readouterr()
+        self.assert_failed(self.sweep(sweep_config(tmp_path), out), capsys,
+                           f"{results}: unexpected results header "
+                           f"['model', 'method', 'ratio']")
+        assert results.read_text() == "model,method,ratio\n"
+        assert list(out.iterdir()) == [results]
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_bytes(b'{"dataset": "\xff"}')
@@ -806,6 +868,114 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+class TestSweepManifest:
+    """A sweep writes manifest.json beside results.csv, and resumes a
+    results.csv only under the configuration its manifest records."""
+
+    @staticmethod
+    def csv_config(tmp_path, dataset_dir, name, trial_epochs, epochs):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "dataset": {"train_csv": str(dataset_dir / "train.csv"),
+                        "test_csv": str(dataset_dir / "test.csv")},
+            "model_kinds": ["reconstruction"], "methods": ["vanilla", "combined"],
+            "ratios": [0.0], "repetitions": 1, "window": 6, "train_stride": 3,
+            "hidden_sizes": [4], "trial_epochs": trial_epochs,
+            "train": {"epochs": epochs}}))
+        return str(path)
+
+    def test_other_configuration_is_refused(self, dataset_dir, tmp_path, capsys):
+        first = self.csv_config(tmp_path, dataset_dir, "first.json", 2, 3)
+        other = self.csv_config(tmp_path, dataset_dir, "other.json", 9, 40)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run_cli("sweep", "--config", first, "--seed", "1", "--out", str(out)) == 0
+        stored = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert sorted(stored) == ["manifest.json", "results.csv", "summary.csv"]
+        capsys.readouterr()
+        assert run_cli("sweep", "--config", other, "--seed", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: its results come from another sweep configuration "
+            f"('config.trial_epochs' differs from manifest.json); re-run with the "
+            f"same config and base seed, or write to another output directory\n")
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == stored
+        # the refused rows are not the other configuration's
+        assert run_cli("sweep", "--config", other, "--seed", "1",
+                       "--out", str(fresh)) == 0
+        assert (fresh / "results.csv").read_bytes() != stored["results.csv"]
+
+    @pytest.mark.parametrize("key", ["base_seed", "config.repetitions",
+                                     "config.train.epochs", "csv_sha256.train_csv"])
+    def test_first_differing_key_is_named(self, key, dataset_dir, tmp_path, capsys):
+        config = Path(self.csv_config(tmp_path, dataset_dir, "c.json", 2, 3))
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(config), "--out", str(out)]
+        assert run_cli(*argv, "--seed", "1") == 0
+        results = (out / "results.csv").read_bytes()
+        seed, cfg = "1", json.loads(config.read_text())
+        if key == "base_seed":
+            seed = "2"
+        elif key == "config.repetitions":
+            cfg["repetitions"] = 2
+        elif key == "config.train.epochs":
+            cfg["train"]["epochs"] = 2
+        else:  # one more timestep in the training series
+            train = dataset_dir / "train.csv"
+            text = train.read_text()
+            train.write_text(text + text.splitlines()[-1] + "\n")
+        config.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run_cli(*argv, "--seed", seed) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+        assert f"({key!r} differs from manifest.json)" in err
+        assert (out / "results.csv").read_bytes() == results
+
+    @pytest.mark.parametrize("rerun", [["--workers", "2"], ["--record-timing"]])
+    def test_run_settings_are_not_configuration(self, rerun, tmp_path, monkeypatch):
+        cfg = str(sweep_config(tmp_path))
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--seed", "7", "--out", str(out)) == 0
+        stored = {f.name: f.read_bytes() for f in out.iterdir()}
+        calls = []
+        monkeypatch.setattr(experiment, "_run_group_task",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(experiment, "prepare_data",
+                            lambda *args: calls.append(args))
+        assert run_cli("sweep", "--config", cfg, "--seed", "7", "--out", str(out),
+                       *rerun) == 0
+        assert calls == []
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == stored
+
+    def test_results_without_manifest_are_adopted(self, tmp_path, monkeypatch,
+                                                  caplog):
+        cfg = str(sweep_config(tmp_path))
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--seed", "7", "--out", str(out)) == 0
+        manifest = (out / "manifest.json").read_bytes()
+        results = (out / "results.csv").read_bytes()
+        (out / "manifest.json").unlink()
+        lines = results.decode().splitlines(keepends=True)
+        (out / "results.csv").write_text("".join(lines[:-1]))  # one row to run
+        calls = []
+        run_group = experiment._run_group_task
+
+        def counted(task, bundle):
+            _cfg, kind, ratio, _rep, methods = task
+            calls.append((kind, ratio, methods))
+            return run_group(task, bundle)
+
+        monkeypatch.setattr(experiment, "_run_group_task", counted)
+        with caplog.at_level(logging.WARNING, logger="losstrace.experiment"):
+            assert run_cli("sweep", "--config", cfg, "--seed", "7",
+                           "--out", str(out)) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{out / 'results.csv'}: no manifest.json beside it, so the "
+            f"configuration of its 7 stored rows cannot be checked; they are kept"]
+        assert calls == [("reconstruction", 0.1, ("combined",))]
+        assert (out / "results.csv").read_bytes() == results
+        assert (out / "manifest.json").read_bytes() == manifest
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
     | st.sampled_from(["m", "m_only", "vanilla", "combined", "prediction",
@@ -847,6 +1017,64 @@ class TestLoadSweepConfig:
             assert message and "\n" not in message
             message.encode("utf-8")  # printable to stderr
 
+    # a value of each config key's JSON type for the fields whose default
+    # is None; the other fields' defaults are of their own type
+    RIGHT_VALUES = {"synthetic": SWEEP_CONFIG["dataset"]["synthetic"],
+                    "train_csv": "train.csv", "test_csv": "test.csv"}
+
+    @staticmethod
+    def place(cfg: dict, name: str, value) -> dict:
+        """cfg with the key of SweepConfig field name set to value, at the
+        level the config file puts it; a CSV path makes a CSV dataset."""
+        cfg = json.loads(json.dumps(cfg))
+        group = next((g for g, names in experiment.CONFIG_GROUPS.items()
+                      if name in names), None)
+        if group == "dataset" and name != "synthetic":
+            cfg["dataset"] = {"train_csv": "train.csv", "test_csv": "test.csv"}
+        elif group == "dataset":
+            cfg["dataset"] = {}
+        (cfg if group is None else cfg.setdefault(group, {}))[name] = value
+        return cfg
+
+    def load(self, tmp_path, cfg):
+        path = tmp_path / "fields.json"
+        path.write_text(json.dumps(cfg))
+        return cli.load_sweep_config(str(path), 7)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SweepConfig)
+                                      if f.name != "base_seed"])
+    def test_every_sweep_config_field_is_a_key(self, name, tmp_path):
+        value = self.RIGHT_VALUES.get(name, getattr(SweepConfig, name))
+        value = json.loads(json.dumps(value))
+        loaded = getattr(self.load(tmp_path, self.place(SWEEP_CONFIG, name, value)),
+                         name)
+        if name == "synthetic":
+            assert loaded == data.SyntheticConfig(**{
+                k: tuple(v) if isinstance(v, list) else v for k, v in value.items()})
+        else:
+            assert loaded == (tuple(value) if isinstance(value, list) else value)
+        with pytest.raises(ConfigError, match=rf"'{name}' must be (an?|a list of) "
+                                               rf"\w+, got true$"):
+            self.load(tmp_path, self.place(SWEEP_CONFIG, name, True))
+
+    @pytest.mark.parametrize("name", [f.name for f in
+                                      dataclasses.fields(data.SyntheticConfig)])
+    def test_every_synthetic_config_field_is_a_key(self, name, tmp_path):
+        defaults = json.loads(json.dumps(dataclasses.asdict(data.SyntheticConfig())))
+        cfg = self.place(SWEEP_CONFIG, "synthetic", defaults)
+        assert self.load(tmp_path, cfg).synthetic == data.SyntheticConfig()
+        cfg["dataset"]["synthetic"][name] = True
+        with pytest.raises(ConfigError, match=rf"synthetic value '{name}' must be "
+                                               rf"(an?|a list of) \w+, got true$"):
+            self.load(tmp_path, cfg)
+
+    def test_dataset_of_two_sources(self, tmp_path):
+        cfg = json.loads(json.dumps(SWEEP_CONFIG))
+        cfg["dataset"]["train_csv"] = "train.csv"
+        with pytest.raises(ConfigError, match="^configure exactly one dataset "
+                                              "source: synthetic or CSV paths$"):
+            self.load(tmp_path, cfg)
+
     def test_utf8_bom_is_skipped(self, tmp_path):
         plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
         plain.write_text(json.dumps(SWEEP_CONFIG), encoding="utf-8")
@@ -874,6 +1102,77 @@ class TestLoadSweepConfig:
     def test_near_valid_configs(self, cfg, base_seed, tmp_path_factory):
         self.check(tmp_path_factory.getbasetemp() / "near-valid.json",
                    json.dumps(cfg).encode(), base_seed)
+
+
+@pytest.fixture(scope="module")
+def finished_sweep(tmp_path_factory):
+    """A finished sweep of SWEEP_CONFIG: (its config, its results.csv)."""
+    base = tmp_path_factory.mktemp("finished")
+    config = sweep_config(base)
+    assert run_cli("sweep", "--config", str(config), "--seed", "7",
+                   "--out", str(base / "out")) == 0
+    return cli.load_sweep_config(str(config), 7), base / "out" / "results.csv"
+
+
+@st.composite
+def near_manifests(draw, manifest):
+    """manifest with a few of its entries, at any level, removed or given
+    an arbitrary JSON value; unknown entries are added the same way."""
+    manifest = json.loads(json.dumps(manifest))
+    blocks = [manifest, manifest["config"], manifest["config"]["train"],
+              manifest["config"]["dataset"],
+              manifest["config"]["dataset"]["synthetic"]]
+    for _ in range(draw(st.integers(1, 3))):
+        block = draw(st.sampled_from(blocks))
+        key = draw(st.sampled_from(sorted(block) + ["bogus"]))
+        if draw(st.booleans()):
+            block.pop(key, None)
+        else:
+            block[key] = draw(JSON_VALUES)
+    return json.dumps(manifest).encode()
+
+
+class TestStoredManifest:
+    """Any stored manifest.json other than the run's own ends the resume in
+    a ToolkitError that fits on one line, and leaves results.csv as it was."""
+
+    @staticmethod
+    def check(finished_sweep, content: bytes):
+        cfg, results = finished_sweep
+        stored = results.read_bytes()
+        (results.parent / "manifest.json").write_bytes(content)
+        try:
+            experiment.run_sweep(cfg, raw_path=str(results))
+        except ToolkitError as exc:
+            assert str(exc) and "\n" not in str(exc)
+        else:
+            assert json.loads(content) == experiment.sweep_manifest(cfg)
+        assert results.read_bytes() == stored
+
+    @settings(max_examples=100, deadline=None)
+    @given(content=st.binary(max_size=64))
+    @example(content=b"\xff")
+    @example(content=b"[" * 100_000)  # nested deeper than the parser recurses
+    @example(content=b'{"base_seed": ' + b"1" * 5000 + b"}")  # too long an int
+    @example(content=b"null")
+    @example(content=b"[]")
+    def test_any_bytes(self, content, finished_sweep):
+        self.check(finished_sweep, content)
+
+    @settings(max_examples=100, deadline=None)
+    @given(document=JSON_VALUES)
+    def test_any_json_document(self, document, finished_sweep):
+        self.check(finished_sweep, json.dumps(document).encode())
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_near_valid_manifests(self, data, finished_sweep):
+        manifest = experiment.sweep_manifest(finished_sweep[0])
+        self.check(finished_sweep, data.draw(near_manifests(manifest)))
+
+    def test_own_manifest_resumes(self, finished_sweep):
+        self.check(finished_sweep,
+                   json.dumps(experiment.sweep_manifest(finished_sweep[0])).encode())
 
 
 def test_dead_pool_worker_is_one_error_line(tmp_path, monkeypatch, capsys):
@@ -1177,3 +1476,14 @@ class TestArgParsing:
 
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
+
+    def test_non_integer_hidden_size(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.npz"
+        assert run_cli("train", "--train-csv", str(tmp_path / "t.csv"),
+                       "--hidden", "4,x", "--seed", "1",
+                       "--checkpoint", str(ckpt)) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert errors == ["losstrace train: error: argument --hidden: expected "
+                          "comma-separated integers, got '4,x'"]
+        assert not list(tmp_path.iterdir())

@@ -208,6 +208,24 @@ def csv_texts(draw):
     return text if final_newline else text.rstrip("\r\n")
 
 
+# ways to quote a cell {}: plain, with a space outside the quotes, text
+# after the closing quote, one quote only, a quoted line break or delimiter,
+# escaped quotes, and an empty quoted cell
+QUOTINGS = st.sampled_from(['"{}"', '"{}" ', ' "{}"', '"{}"5', '{}"', '"{}',
+                            '"{}\n0"', '"{},0"', '"""{}"""', '"{}""0"', '""'])
+
+
+@st.composite
+def quoted_csv_texts(draw):
+    """A csv_texts text with any of its data cells quoted in one of the
+    QUOTINGS."""
+    lines = draw(csv_texts()).split("\n")
+    for t in range(1, len(lines)):
+        lines[t] = ",".join(draw(QUOTINGS).format(cell) if draw(st.booleans())
+                            else cell for cell in lines[t].split(","))
+    return "\n".join(lines)
+
+
 class TestLoadCsvTableParse:
     """load_csv parses a well-formed body with one np.loadtxt call and falls
     back to the row parser for anything else: results and error messages
@@ -218,6 +236,24 @@ class TestLoadCsvTableParse:
     def test_matches_row_parser(self, text, tmp_path_factory):
         p = tmp_path_factory.getbasetemp() / "table-parse.csv"
         p.write_bytes(text.encode("utf-8"))
+        assert outcome(data.load_csv, p) == outcome(reference_load, p)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=quoted_csv_texts())
+    def test_quoted_cells_match_row_parser(self, text, tmp_path_factory):
+        p = tmp_path_factory.getbasetemp() / "quoted-table-parse.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert outcome(data.load_csv, p) == outcome(reference_load, p)
+
+    @pytest.mark.parametrize("body, table", [
+        ('"1.5",2\n"3"," 4 "\n', True),
+        ('"1.5",2\n"3\n4",5\n', False),  # one row over two lines
+    ], ids=["quoted_cells", "quoted_line_break"])
+    def test_quoted_cells_take_the_table_parse(self, body, table, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("a,b\n" + body)
+        with open(p, newline="", encoding="utf-8") as fh:
+            assert (data._parse_table(fh) is not None) == table
         assert outcome(data.load_csv, p) == outcome(reference_load, p)
 
     @pytest.mark.parametrize("body, expected", [

@@ -113,6 +113,12 @@ class TestRecordTrialTraces:
         assert (filtering.record_trial_traces(make_factory(), ws, other_seed)
                 .losses.tobytes() != expected.losses.tobytes())
 
+    def test_empty_window_set(self):
+        with pytest.raises(ConfigError) as info:
+            filtering.record_trial_traces(make_factory(), toy_windows(n=0),
+                                          trial_config(2, seed=0))
+        assert str(info.value) == "cannot record traces on an empty window set"
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_losses_are_fatal_without_a_warning(self):
         """Trial losses that overflow end in the trace's FilterError, with
