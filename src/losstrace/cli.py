@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from functools import partial
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 from .data import (
     MultivariateSeries,
@@ -26,12 +24,12 @@ from .data import (
     training_windows,
     write_csv,
 )
-from .errors import ConfigError, ShapeError, ToolkitError
+from .errors import ShapeError, ToolkitError
 from .experiment import (
-    CONFIG_GROUPS, SweepConfig, one_blas_thread, run_sweep, write_results,
+    SweepConfig, load_sweep_config, one_blas_thread, run_sweep, write_results,
     write_summary,
 )
-from .filtering import METHODS, RobustTrainConfig, robust_train
+from .filtering import METHOD_ALIASES, METHODS, RobustTrainConfig, robust_train
 from .metrics import auc_roc, best_f1
 from .models import (
     MODEL_KINDS,
@@ -42,18 +40,6 @@ from .models import (
     load_checkpoint,
     save_checkpoint,
 )
-
-# short method names on the command line; internal names also accepted
-METHOD_ALIASES = {"m": "m_only", "v": "v_only"}
-
-
-def _method_name(value: str) -> str:
-    name = METHOD_ALIASES.get(value, value)
-    if name not in METHODS:
-        raise ConfigError(f"unknown method {value!r}; choose from {METHODS} "
-                          f"(or {tuple(METHOD_ALIASES)})")
-    return name
-
 
 def _int_list(text: str) -> tuple[int, ...]:
     """argparse type for a comma-separated list of integers."""
@@ -139,7 +125,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    method = _method_name(args.method)
+    method = METHOD_ALIASES.get(args.method, args.method)
     series = load_csv(args.train_csv)
     norm, windows = training_windows(series, args.window, args.stride,
                                      args.train_csv)
@@ -187,75 +173,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
               f"(no usable labels, metrics skipped); "
               f"score range [{scores.min():.6g}, {scores.max():.6g}]")
     return 0
-
-
-# a number may be an integer; true and false are of no type
-TYPE_NAMES = {dict: ("an object", "objects"), str: ("a string", "strings"),
-              int: ("an integer", "integers"), float: ("a number", "numbers")}
-
-
-def _has_type(value, kind) -> bool:
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
-    return not isinstance(value, bool) and isinstance(
-        value, (int, float) if kind is float else kind)
-
-
-def _typed(path: str, where: str, block, hints: dict) -> dict:
-    """The entries of a JSON object, lists as tuples, after checking that
-    every key is in hints and every value of the JSON type of its hint: [t],
-    a list of t, for tuple[t, ...]; t for t | None; and dict, an object of
-    the dataclass's own fields, for a dataclass."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path}: {where} must be an object")
-    unknown = set(block) - set(hints)
-    if unknown:
-        raise ConfigError(f"{path}: unknown {where} keys {sorted(unknown)}")
-    for key, value in block.items():
-        kind = (get_args(hints[key]) or (hints[key],))[0]
-        kind = ([kind] if get_origin(hints[key]) is tuple
-                else dict if dataclasses.is_dataclass(kind) else kind)
-        if not _has_type(value, kind):
-            name = (f"a list of {TYPE_NAMES[kind[0]][1]}" if isinstance(kind, list)
-                    else TYPE_NAMES[kind][0])
-            raise ConfigError(f"{path}: {where} value {key!r} must be {name}, "
-                              f"got {json.dumps(value)}")
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in block.items()}
-
-
-def load_sweep_config(path: str, base_seed: int) -> SweepConfig:
-    """Parse the JSON sweep config.
-
-    Every key and the type of every value are checked here, so a config
-    that loads can fail only on a value out of range. A leading UTF-8
-    byte-order mark is skipped.
-    """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    # ValueError: malformed JSON or an integer too long to convert;
-    # RecursionError: arrays or objects nested too deeply
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    hints = get_type_hints(SweepConfig)
-    del hints["base_seed"]  # --seed sets it
-    groups = {group: {name: hints.pop(name) for name in names}
-              for group, names in CONFIG_GROUPS.items()}
-    kwargs = _typed(path, "config", raw, {**hints, **dict.fromkeys(groups, dict)})
-    for group, group_hints in groups.items():
-        kwargs.update(_typed(path, group, kwargs.pop(group, {}), group_hints))
-    if "dataset" not in raw:
-        raise ConfigError(f"{path}: 'dataset' object is required")
-    if "synthetic" in kwargs:
-        kwargs["synthetic"] = SyntheticConfig(**_typed(
-            path, "synthetic", kwargs["synthetic"], get_type_hints(SyntheticConfig)))
-    if "methods" in kwargs:
-        kwargs["methods"] = tuple(_method_name(m) for m in kwargs["methods"])
-    return SweepConfig(base_seed, **kwargs)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -242,6 +242,16 @@ def replacing_file(path: str, binary: bool = False):
         raise
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object_pairs_hook: a key repeated in one object raises ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears more than once")
+        obj[key] = value
+    return obj
+
+
 def write_csv(series: MultivariateSeries, path: str) -> None:
     """Write a series in the format load_csv reads, atomically: the repr of
     every value (lossless), then the 0/1 label when there are labels."""

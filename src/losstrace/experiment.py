@@ -29,10 +29,10 @@ from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cache, partial
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,10 +48,11 @@ from .data import (
     make_windows,
     replacing_file,
     training_windows,
+    unique_keys,
 )
 from .errors import ConfigError, ParseError, ToolkitError
 from .filtering import (
-    METHODS, VANILLA, LossTrace, ModelFactory, RobustTrainConfig,
+    METHOD_ALIASES, METHODS, VANILLA, LossTrace, ModelFactory, RobustTrainConfig,
     record_trial_traces, robust_train,
 )
 from .metrics import auc_roc, best_f1, coverage
@@ -135,6 +136,73 @@ class SweepConfig:
             self.tau, self.trial_epochs, method)
 
 
+# a number may be an integer; true and false are of no type
+TYPE_NAMES = {dict: ("an object", "objects"), str: ("a string", "strings"),
+              int: ("an integer", "integers"), float: ("a number", "numbers")}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind)
+
+
+def _typed(where: str, block, hints: dict) -> dict:
+    """The entries of a JSON object, lists as tuples, after checking that
+    every key is in hints and every value of the JSON type of its hint: [t],
+    a list of t, for tuple[t, ...]; t for t | None; and dict, an object of
+    the dataclass's own fields, for a dataclass."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(block) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {sorted(unknown)}")
+    for key, value in block.items():
+        kind = (get_args(hints[key]) or (hints[key],))[0]
+        kind = ([kind] if get_origin(hints[key]) is tuple
+                else dict if is_dataclass(kind) else kind)
+        if not _has_type(value, kind):
+            name = (f"a list of {TYPE_NAMES[kind[0]][1]}" if isinstance(kind, list)
+                    else TYPE_NAMES[kind][0])
+            raise ConfigError(f"{where} value {key!r} must be {name}, "
+                              f"got {json.dumps(value)}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in block.items()}
+
+
+def load_sweep_config(path: str, base_seed: int) -> SweepConfig:
+    """Parse a JSON sweep config file (a leading UTF-8 BOM is skipped). Every
+    error is a ConfigError; each one found after the JSON parses names path."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            raw = json.load(fh, object_pairs_hook=unique_keys)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    # ValueError: malformed JSON, a repeated key or an integer too long to
+    # convert; RecursionError: arrays or objects nested too deeply
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    hints = get_type_hints(SweepConfig)
+    del hints["base_seed"]  # --seed sets it
+    groups = {group: {name: hints.pop(name) for name in names}
+              for group, names in CONFIG_GROUPS.items()}
+    try:
+        kwargs = _typed("config", raw, {**hints, **dict.fromkeys(groups, dict)})
+        for group, group_hints in groups.items():
+            kwargs.update(_typed(group, kwargs.pop(group, {}), group_hints))
+        if "synthetic" in kwargs:
+            kwargs["synthetic"] = SyntheticConfig(**_typed(
+                "synthetic", kwargs["synthetic"], get_type_hints(SyntheticConfig)))
+        if "methods" in kwargs:
+            kwargs["methods"] = tuple(METHOD_ALIASES.get(m, m)
+                                      for m in kwargs["methods"])
+        return SweepConfig(base_seed, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 MANIFEST = "manifest.json"
 
 
@@ -173,13 +241,13 @@ def _check_manifest(directory: Path, manifest: dict) -> bool:
     path = directory / MANIFEST
     try:
         with open(path, encoding="utf-8") as fh:
-            stored = json.load(fh)
+            stored = json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError:
         return False
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
-    # ValueError: not UTF-8, malformed JSON or an integer too long to
-    # convert; RecursionError: arrays or objects nested too deeply
+    # ValueError: not UTF-8, malformed JSON, a repeated key or an integer
+    # too long to convert; RecursionError: arrays or objects nested too deeply
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not a readable manifest: {exc}") from None
     if not isinstance(stored, dict):

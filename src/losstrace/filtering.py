@@ -35,6 +35,7 @@ V_ONLY = "v_only"
 COMBINED = "combined"
 FILTER_METHODS = (M_ONLY, V_ONLY, COMBINED)
 METHODS = (VANILLA, *FILTER_METHODS)
+METHOD_ALIASES = {"m": M_ONLY, "v": V_ONLY}  # short names the CLI and configs accept
 
 ModelFactory = Callable[[int], TsadModel]
 

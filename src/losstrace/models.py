@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import MultivariateSeries, Normalizer, WindowSet, replacing_file
+from .data import (MultivariateSeries, Normalizer, WindowSet, replacing_file,
+                   unique_keys)
 from .errors import (ConfigError, NumericError, ParseError, ShapeError,
                      ToolkitError, TrainingError)
 
@@ -313,7 +314,7 @@ def load_checkpoint(
         raise ParseError(f"{path}: not a readable checkpoint archive (corrupt, "
                          f"truncated, or not an .npz file)") from None
     try:
-        meta = json.loads(str(arrays["meta"]))
+        meta = json.loads(str(arrays["meta"]), object_pairs_hook=unique_keys)
         if not isinstance(meta, dict):
             raise ParseError("checkpoint metadata is not an object")
         if meta.get("format") != CHECKPOINT_FORMAT:

@@ -394,13 +394,17 @@ class TestFailuresExitOne:
         ("version", "unsupported checkpoint version 99"),
         ("not_json", "malformed checkpoint: Expecting property name enclosed "
                      "in double quotes: line 1 column 2 (char 1)"),
+        ("repeated_key", "malformed checkpoint: key 'window' appears more "
+                         "than once"),
     ])
     def test_bad_checkpoint_metadata(self, damage, message, checkpoint,
                                      dataset_dir, tmp_path, capsys):
         with np.load(checkpoint) as archive:
             arrays = {k: archive[k] for k in archive.files}
+        stored = str(arrays["meta"])
         meta = {"not_object": "[1]", "not_json": "{",
-                "version": json.dumps({**json.loads(str(arrays["meta"])),
+                "repeated_key": f'{stored[:-1]}, "window": 6}}',
+                "version": json.dumps({**json.loads(stored),
                                        "version": 99})}[damage]
         with open(checkpoint, "wb") as fh:
             np.savez(fh, **dict(arrays, meta=np.array(meta)))
@@ -656,7 +660,54 @@ class TestSweepFailsBeforeWriting:
     def test_unknown_method(self, tmp_path, capsys):
         cfg = sweep_config(tmp_path, methods=["vanilla", "bogus"])
         self.assert_aborted(cfg, tmp_path, capsys,
-                            "unknown method 'bogus'; choose from ")
+                            "methods must be a non-empty subset of ")
+
+    SYNTHETIC = SWEEP_CONFIG["dataset"]["synthetic"]
+
+    # one value out of range for each rule a config file can break
+    @pytest.mark.parametrize("extra, message", [
+        ({"tau": 1.5}, "tau must be in (0, 1), got 1.5"),
+        ({"trial_epochs": 0}, "trial epochs must be >= 1, got 0"),
+        ({"train": {"epochs": 0}}, "epochs must be >= 1, got 0"),
+        ({"train": {"learning_rate": 0}},
+         "learning rate must be finite and > 0, got 0"),
+        ({"repetitions": 0}, "repetitions must be >= 1, got 0"),
+        ({"ratios": [0.3]},
+         "ratios must be a non-empty subset of [0, 0.2], got (0.3,)"),
+        ({"methods": ["m", "m_only"]}, "methods lists m_only more than once"),
+        ({"dataset": {"synthetic": {**SYNTHETIC, "anomaly_rate": 0.9}}},
+         "anomaly rate must be in [0, 0.3], got 0.9"),
+        ({"dataset": {"synthetic": SYNTHETIC, "train_csv": "train.csv"}},
+         "configure exactly one dataset source: synthetic or CSV paths"),
+        ({"methods": ["vanilla", "bogus"]},
+         f"methods must be a non-empty subset of {filtering.METHODS}, "
+         f"got ('vanilla', 'bogus')"),
+    ], ids=["tau", "trial_epochs", "epochs", "learning_rate", "repetitions",
+            "ratios", "method_alias_twice", "anomaly_rate", "two_sources",
+            "unknown_method"])
+    def test_config_error_names_the_file(self, extra, message, tmp_path, capsys):
+        cfg = sweep_config(tmp_path, **extra)
+        capsys.readouterr()
+        assert self.sweep(cfg, tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block, key", [
+        ([], "window"), (["train"], "epochs"), (["dataset"], "synthetic"),
+        (["dataset", "synthetic"], "seed")], ids=["config", "train", "dataset",
+                                                  "synthetic"])
+    def test_repeated_key(self, block, key, tmp_path, capsys):
+        obj = SWEEP_CONFIG
+        for name in block:
+            obj = obj[name]
+        # the object's own JSON, with key written again before its "}"
+        text = json.dumps(obj)
+        repeated = f"{text[:-1]}, {json.dumps(key)}: {json.dumps(obj[key])}}}"
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(SWEEP_CONFIG).replace(text, repeated, 1))
+        self.assert_aborted(cfg, tmp_path, capsys,
+                            f"error: {cfg}: invalid JSON: key {key!r} appears "
+                            f"more than once")
 
     def test_results_csv_with_another_header(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -946,6 +997,23 @@ class TestSweepManifest:
         assert calls == []
         assert {f.name: f.read_bytes() for f in out.iterdir()} == stored
 
+    def test_manifest_with_a_repeated_key_is_refused(self, tmp_path, capsys):
+        cfg = str(sweep_config(tmp_path))
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--seed", "7", "--out", str(out)) == 0
+        manifest = out / "manifest.json"
+        text = manifest.read_text()
+        assert '"base_seed": 7,' in text
+        manifest.write_text(text.replace('"base_seed": 7,',
+                                         '"base_seed": 7, "base_seed": 7,', 1))
+        stored = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("sweep", "--config", cfg, "--seed", "7", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: not a readable manifest: key 'base_seed' "
+            f"appears more than once\n")
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == stored
+
     def test_results_without_manifest_are_adopted(self, tmp_path, monkeypatch,
                                                   caplog):
         cfg = str(sweep_config(tmp_path))
@@ -1010,7 +1078,7 @@ class TestLoadSweepConfig:
     def check(path, content: bytes, base_seed: int = 7):
         path.write_bytes(content)
         try:
-            assert isinstance(cli.load_sweep_config(str(path), base_seed),
+            assert isinstance(experiment.load_sweep_config(str(path), base_seed),
                               SweepConfig)
         except ToolkitError as exc:
             message = str(exc)
@@ -1039,7 +1107,7 @@ class TestLoadSweepConfig:
     def load(self, tmp_path, cfg):
         path = tmp_path / "fields.json"
         path.write_text(json.dumps(cfg))
-        return cli.load_sweep_config(str(path), 7)
+        return experiment.load_sweep_config(str(path), 7)
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SweepConfig)
                                       if f.name != "base_seed"])
@@ -1071,16 +1139,36 @@ class TestLoadSweepConfig:
     def test_dataset_of_two_sources(self, tmp_path):
         cfg = json.loads(json.dumps(SWEEP_CONFIG))
         cfg["dataset"]["train_csv"] = "train.csv"
-        with pytest.raises(ConfigError, match="^configure exactly one dataset "
-                                              "source: synthetic or CSV paths$"):
+        path = tmp_path / "fields.json"
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path}: configure exactly one dataset source: synthetic or "
+                f"CSV paths") + "$"):
             self.load(tmp_path, cfg)
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_manifest_config_loads_back(self, source, dataset_dir, tmp_path):
+        """The config a manifest records, written as a config file, loads
+        back to the SweepConfig it records."""
+        dataset = ({"synthetic": data.SyntheticConfig(channels=2, length=600,
+                                                      periods=(30,), seed=4)}
+                   if source == "synthetic" else
+                   {"train_csv": str(dataset_dir / "train.csv"),
+                    "test_csv": str(dataset_dir / "test.csv")})
+        cfg = SweepConfig(9, **dataset, model_kinds=("prediction",),
+                          methods=("combined", "vanilla"), ratios=(0.0, 0.05),
+                          repetitions=2, tau=0.15, trial_epochs=3, window=8,
+                          horizon=2, hidden_sizes=(6, 3), train_stride=4,
+                          epochs=7, batch_size=32, learning_rate=0.002, patience=3)
+        path = tmp_path / "recorded.json"
+        path.write_text(json.dumps(experiment.sweep_manifest(cfg)["config"]))
+        assert experiment.load_sweep_config(str(path), cfg.base_seed) == cfg
 
     def test_utf8_bom_is_skipped(self, tmp_path):
         plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
         plain.write_text(json.dumps(SWEEP_CONFIG), encoding="utf-8")
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        assert (cli.load_sweep_config(str(bom), 7)
-                == cli.load_sweep_config(str(plain), 7))
+        assert (experiment.load_sweep_config(str(bom), 7)
+                == experiment.load_sweep_config(str(plain), 7))
 
     @settings(max_examples=200, deadline=None)
     @given(content=st.binary(max_size=64))
@@ -1111,7 +1199,7 @@ def finished_sweep(tmp_path_factory):
     config = sweep_config(base)
     assert run_cli("sweep", "--config", str(config), "--seed", "7",
                    "--out", str(base / "out")) == 0
-    return cli.load_sweep_config(str(config), 7), base / "out" / "results.csv"
+    return experiment.load_sweep_config(str(config), 7), base / "out" / "results.csv"
 
 
 @st.composite
