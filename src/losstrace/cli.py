@@ -24,11 +24,8 @@ from .data import (
     training_windows,
     write_csv,
 )
-from .errors import ShapeError, ToolkitError
-from .experiment import (
-    SweepConfig, load_sweep_config, one_blas_thread, run_sweep, write_results,
-    write_summary,
-)
+from .errors import ConfigError, ShapeError, ToolkitError
+from .experiment import SweepConfig, load_sweep_config, one_blas_thread, run_sweep
 from .filtering import METHOD_ALIASES, METHODS, RobustTrainConfig, robust_train
 from .metrics import auc_roc, best_f1
 from .models import (
@@ -125,6 +122,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    for path in filter(None, (args.checkpoint, args.report)):
+        directory = Path(path).parent
+        if not directory.is_dir():  # refused before any training
+            raise ConfigError(f"cannot write {path}: {directory} is not a directory")
     method = METHOD_ALIASES.get(args.method, args.method)
     series = load_csv(args.train_csv)
     norm, windows = training_windows(series, args.window, args.stride,
@@ -178,11 +179,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_sweep_config(args.config, args.seed)
     out = Path(args.out)
-    raw_path = out / "results.csv"
-    result = run_sweep(cfg, raw_path=str(raw_path), workers=args.workers,
+    result = run_sweep(cfg, raw_path=str(out / "results.csv"), workers=args.workers,
                        record_timing=args.record_timing)
-    write_results(result, str(raw_path))
-    write_summary(result, str(out / "summary.csv"))
     failed = sum(1 for r in result.rows if not r.ok)
     print(f"sweep complete: {len(result.rows)} rows "
           f"({failed} failed), results in {out}")

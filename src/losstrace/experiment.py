@@ -95,8 +95,7 @@ class SweepConfig:
     patience: int = TrainConfig.patience
 
     def __post_init__(self) -> None:
-        if self.base_seed < 0:
-            raise ConfigError(f"base seed must be >= 0, got {self.base_seed}")
+        self.check_base_seed(self.base_seed)
         has_synth = self.synthetic is not None
         has_csv = self.train_csv is not None or self.test_csv is not None
         if has_synth == has_csv:
@@ -127,6 +126,11 @@ class SweepConfig:
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         self.train_config(self.methods[0], 0)  # bad training values fail here
+
+    @staticmethod
+    def check_base_seed(base_seed: int) -> None:
+        if base_seed < 0:
+            raise ConfigError(f"base seed must be >= 0, got {base_seed}")
 
     def train_config(self, method: str, seed: int) -> RobustTrainConfig:
         """The robust-training settings of one sweep cell."""
@@ -172,12 +176,17 @@ def _typed(where: str, block, hints: dict) -> dict:
 
 def load_sweep_config(path: str, base_seed: int) -> SweepConfig:
     """Parse a JSON sweep config file (a leading UTF-8 BOM is skipped). Every
-    error is a ConfigError; each one found after the JSON parses names path."""
+    error is a ConfigError. base_seed is checked before path is read, and
+    its error does not name path; every error found after the JSON parses
+    does."""
+    SweepConfig.check_base_seed(base_seed)
     try:
         with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, or a path through a regular file
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     # ValueError: malformed JSON, a repeated key or an integer too long to
@@ -520,62 +529,61 @@ def _run_pooled_group(task: GroupTask) -> list[ResultRow]:
 
 def run_sweep(
     cfg: SweepConfig,
-    raw_path: str | None = None,
+    raw_path: str,
     workers: int = 1,
     record_timing: bool = False,
 ) -> ExperimentResult:
-    """Execute all planned cells, reusing completed rows from raw_path.
+    """Execute all planned cells, reusing completed rows from raw_path, then
+    write the sweep_manifest, the rows to raw_path (write_results) and their
+    summary.csv (write_summary) beside it; a sweep that raises writes none.
 
     A raw_path that exists is resumed only if the sweep_manifest stored
     beside it equals cfg's: one that differs or cannot be read raises
     before anything is run or written. Without a stored manifest, its rows
-    are kept with one warning. The manifest is written once the cells have
-    run. Stored rows that match no planned (model, method, seed) are dropped
-    with a warning. The pending cells run as groups of one (kind, ratio,
-    rep) each. The dataset is prepared, and one model of each configured
-    kind is built, once before any cell runs, so dataset, label and
-    architecture errors raise instead of failing every cell, before
-    raw_path's directory is created. A forking pool starts all its workers
-    at once, so at most one per pending group is asked for. A cell that
-    fails is the NA row its group returns, its error logged here; the sweep
-    goes on, and the next resume retries the cell. A pool worker that dies
-    ends the sweep with a ToolkitError, and its rows are lost. Ctrl-C (a
-    SIGINT to the process group) ends every pool worker at once; a SIGINT
-    to this process alone lets the running groups finish. Either way the
-    queued groups are cancelled and KeyboardInterrupt propagates.
+    are kept with one warning. Stored rows that match no planned (model,
+    method, seed) are dropped with a warning. The pending cells run as
+    groups of one (kind, ratio, rep) each. The dataset is prepared, and one
+    model of each configured kind is built, once before any cell runs, so
+    dataset, label and architecture errors raise instead of failing every
+    cell, before raw_path's directory is created. A forking pool starts all
+    its workers at once, so at most one per pending group is asked for. A
+    cell that fails is the NA row its group returns, its error logged here;
+    the sweep goes on, and the next resume retries the cell. A pool worker
+    that dies ends the sweep with a ToolkitError, and its rows are lost.
+    Ctrl-C (a SIGINT to the process group) ends every pool worker at once;
+    a SIGINT to this process alone lets the running groups finish. Either
+    way the queued groups are cancelled and KeyboardInterrupt propagates.
     Unless record_timing is set, wall times are written as NA so repeated
     sweeps with the same seed produce byte-identical files.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     plan = plan_cells(cfg)
+    manifest = sweep_manifest(cfg)
+    directory = Path(raw_path).parent
+    has_manifest = Path(raw_path).exists() and _check_manifest(directory, manifest)
+    # a stored row names its cell by (model, method, seed); its ratio went
+    # through %g, so it may not equal the planned ratio
+    by_seed = {(kind, method, cell_seed(cfg, kind, method, ratio, rep)):
+               (kind, method, ratio, rep)
+               for kind, method, ratio, rep in plan}
     done: dict[CellCoord, ResultRow] = {}
-    if raw_path is not None:
-        manifest = sweep_manifest(cfg)
-        directory = Path(raw_path).parent
-        has_manifest = (Path(raw_path).exists()
-                        and _check_manifest(directory, manifest))
-        # a stored row names its cell by (model, method, seed); its ratio
-        # went through %g, so it may not equal the planned ratio
-        by_seed = {(kind, method, cell_seed(cfg, kind, method, ratio, rep)):
-                   (kind, method, ratio, rep)
-                   for kind, method, ratio, rep in plan}
-        unplanned = 0
-        for row in read_results_if_exists(raw_path):
-            coord = by_seed.get((row.model, row.method, row.seed))
-            if coord is None:
-                unplanned += 1
-            elif row.ok:
-                row.ratio = coord[2]
-                done[coord] = row
-        if unplanned:
-            logger.warning("%s: dropped %d stored rows that match no planned "
-                           "(model, method, seed); their cells are recomputed",
-                           raw_path, unplanned)
-        if done and not has_manifest:
-            logger.warning("%s: no %s beside it, so the configuration of its "
-                           "%d stored rows cannot be checked; they are kept",
-                           raw_path, MANIFEST, len(done))
+    unplanned = 0
+    for row in read_results_if_exists(raw_path):
+        coord = by_seed.get((row.model, row.method, row.seed))
+        if coord is None:
+            unplanned += 1
+        elif row.ok:
+            row.ratio = coord[2]
+            done[coord] = row
+    if unplanned:
+        logger.warning("%s: dropped %d stored rows that match no planned "
+                       "(model, method, seed); their cells are recomputed",
+                       raw_path, unplanned)
+    if done and not has_manifest:
+        logger.warning("%s: no %s beside it, so the configuration of its "
+                       "%d stored rows cannot be checked; they are kept",
+                       raw_path, MANIFEST, len(done))
 
     groups: dict[tuple[str, float, int], list[str]] = {}
     for kind, method, ratio, rep in plan:
@@ -586,8 +594,7 @@ def run_sweep(
         bundle = prepare_data(cfg)
         for kind in cfg.model_kinds:  # an impossible architecture fails here
             _model_factory(cfg, kind, bundle)(0)
-        if raw_path is not None:
-            Path(raw_path).parent.mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
         tasks = [(cfg, kind, ratio, rep, tuple(methods))
                  for (kind, ratio, rep), methods in groups.items()]
         workers = min(workers, len(tasks))
@@ -621,9 +628,6 @@ def run_sweep(
                 for task in tasks:
                     rows.extend(_run_group_task(task, bundle))
 
-    if raw_path is not None:  # after the cells: a sweep that raises writes none
-        with replacing_file(str(directory / MANIFEST)) as fh:
-            fh.write(json.dumps(manifest, indent=2) + "\n")
     for row in rows:
         if row.error:
             logger.error("sweep cell failed: %s", row.error)
@@ -634,7 +638,12 @@ def run_sweep(
     method_order = {m: i for i, m in enumerate(cfg.methods)}
     rows.sort(key=lambda r: (kind_order[r.model], method_order[r.method],
                              r.ratio, r.seed))
-    return ExperimentResult(rows)
+    result = ExperimentResult(rows)
+    with replacing_file(str(directory / MANIFEST)) as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
+    write_results(result, raw_path)
+    write_summary(result, str(directory / "summary.csv"))
+    return result
 
 
 def _cell(column: str, value: float | int | str | None) -> str:
@@ -667,18 +676,20 @@ def write_results(result: ExperimentResult, path: str) -> None:
 def read_results_if_exists(path: str) -> list[ResultRow]:
     """Rows of a write_results file, or none if it does not exist.
 
-    A wrong header raises ConfigError. A file that is not UTF-8 CSV raises
-    ParseError naming the file; a data row that cannot be parsed (missing
-    or extra cells, a malformed number) or that no sweep writes (an auc,
-    best_f1 or coverage outside [0, 1], a negative discard_size, exactly
-    one of auc and best_f1 NA), one naming the file and the 1-based data
-    row.
+    A path that cannot be read or a wrong header raises ConfigError. A file
+    that is not UTF-8 CSV raises ParseError naming the file; a data row that
+    cannot be parsed (missing or extra cells, a malformed number) or that no
+    sweep writes (an auc, best_f1 or coverage outside [0, 1], a negative
+    discard_size, exactly one of auc and best_f1 NA), one naming the file
+    and the 1-based data row.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             lines = list(csv.reader(fh))
     except FileNotFoundError:
         return []
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: not a readable CSV file: {exc}") from None
     header = lines[0] if lines else None

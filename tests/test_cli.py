@@ -348,6 +348,37 @@ class TestFailuresExitOne:
                        "--checkpoint", str(tmp_path / "no" / "m.npz"))
         self.assert_failed(code, capsys)
 
+    @pytest.mark.parametrize("parent", ["missing", "a_file"])
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--report"])
+    def test_output_path_is_refused_before_training(self, flag, parent,
+                                                     dataset_dir, tmp_path,
+                                                     capsys, monkeypatch):
+        """An output path whose directory does not exist, or is a file, ends
+        train before it trains: no checkpoint or report is written."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return filtering.robust_train(*args)
+
+        monkeypatch.setattr(cli, "robust_train", counted)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a_file").write_text("")
+        paths = {"--checkpoint": out / "m.npz", "--report": out / "r.json"}
+        paths[flag] = bad = out / parent / "x"
+        capsys.readouterr()
+        code = run_cli("train", "--train-csv", str(dataset_dir / "train.csv"),
+                       "--window", "6", "--stride", "6", "--hidden", "4",
+                       "--epochs", "1", "--trial-epochs", "1", "--seed", "1",
+                       "--checkpoint", str(paths["--checkpoint"]),
+                       "--report", str(paths["--report"]))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {bad}: {bad.parent} is not a directory\n")
+        assert calls == []
+        assert os.listdir(out) == ["a_file"]
+
     @pytest.mark.parametrize("damage", ["garbage", "truncated", "no_w1", "empty"])
     def test_corrupt_checkpoint(self, damage, checkpoint, dataset_dir, capsys):
         raw = checkpoint.read_bytes()
@@ -721,6 +752,32 @@ class TestSweepFailsBeforeWriting:
         assert results.read_text() == "model,method,ratio\n"
         assert list(out.iterdir()) == [results]
 
+    @pytest.mark.parametrize("config", ["sweep.json", "missing.json"])
+    def test_negative_seed_names_the_flag_not_the_file(self, config, tmp_path,
+                                                        capsys):
+        """--seed is checked before the config is read, so a config that
+        does not exist gives the seed error too."""
+        sweep_config(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("sweep", "--config", str(tmp_path / config), "--seed", "-1",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: base seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["directory", "below_a_file"])
+    def test_unreadable_config_path(self, where, tmp_path, capsys):
+        cfg = tmp_path if where == "directory" else sweep_config(tmp_path) / "x.json"
+        self.assert_aborted(cfg, tmp_path, capsys, f"error: cannot read {cfg}: ")
+
+    def test_out_below_a_regular_file(self, tmp_path, capsys):
+        cfg = sweep_config(tmp_path)
+        out = cfg / "out"
+        capsys.readouterr()
+        self.assert_failed(self.sweep(cfg, out), capsys,
+                           f"error: cannot read {out / 'results.csv'}: ")
+        assert sorted(os.listdir(tmp_path)) == ["sweep.json"]
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_bytes(b'{"dataset": "\xff"}')
@@ -787,6 +844,26 @@ class TestSweepFailsBeforeWriting:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_library_sweep_writes_the_command_files(self, source, dataset_dir,
+                                                    tmp_path):
+        """run_sweep writes manifest.json, results.csv and summary.csv, byte
+        for byte as the sweep command does with the same config and seed."""
+        extra = {} if source == "synthetic" else {"dataset": {
+            "train_csv": str(dataset_dir / "train.csv"),
+            "test_csv": str(dataset_dir / "test.csv")}}
+        cfg = sweep_config(tmp_path, **extra)
+        assert run_cli("sweep", "--config", str(cfg), "--seed", "7",
+                       "--out", str(tmp_path / "command")) == 0
+        experiment.run_sweep(experiment.load_sweep_config(str(cfg), 7),
+                             raw_path=str(tmp_path / "library" / "results.csv"))
+        files = ["manifest.json", "results.csv", "summary.csv"]
+        for out in ("command", "library"):
+            assert sorted(os.listdir(tmp_path / out)) == files
+        for name in files:
+            assert ((tmp_path / "library" / name).read_bytes()
+                    == (tmp_path / "command" / name).read_bytes())
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = sweep_config(tmp_path)
         out_a, out_b = tmp_path / "ra", tmp_path / "rb"
@@ -1162,6 +1239,18 @@ class TestLoadSweepConfig:
         path = tmp_path / "recorded.json"
         path.write_text(json.dumps(experiment.sweep_manifest(cfg)["config"]))
         assert experiment.load_sweep_config(str(path), cfg.base_seed) == cfg
+
+    @pytest.mark.parametrize("config", ["sweep.json", "missing.json"])
+    def test_negative_base_seed_is_checked_before_the_file(self, config, tmp_path):
+        sweep_config(tmp_path)
+        with pytest.raises(ConfigError, match=r"^base seed must be >= 0, got -1$"):
+            experiment.load_sweep_config(str(tmp_path / config), -1)
+
+    @pytest.mark.parametrize("where", ["directory", "below_a_file"])
+    def test_unreadable_path_is_a_config_error(self, where, tmp_path):
+        path = tmp_path if where == "directory" else sweep_config(tmp_path) / "x.json"
+        with pytest.raises(ConfigError, match="^" + re.escape(f"cannot read {path}: ")):
+            experiment.load_sweep_config(str(path), 7)
 
     def test_utf8_bom_is_skipped(self, tmp_path):
         plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"

@@ -7,6 +7,7 @@ import ctypes
 import dataclasses
 import logging
 import os
+import re
 import tracemalloc
 import types
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -45,6 +46,13 @@ def tiny_config(**overrides):
 
 
 ALL_METHODS = ("vanilla", "m_only", "v_only", "combined")
+
+
+@pytest.fixture
+def raw_path(tmp_path):
+    """A results.csv path for run_sweep, in a directory of its own that does
+    not exist yet."""
+    return str(tmp_path / "sweep" / "results.csv")
 
 
 class TestSeedDerivation:
@@ -274,9 +282,9 @@ class TestPrepareData:
 
 
 class TestSweep:
-    def test_row_count_and_order(self, tmp_path):
+    def test_row_count_and_order(self, raw_path, tmp_path):
         cfg = tiny_config()
-        result = experiment.run_sweep(cfg)
+        result = experiment.run_sweep(cfg, raw_path)
         assert len(result.rows) == len(experiment.plan_cells(cfg))
         keys = [(r.model, r.method, r.ratio) for r in result.rows]
         assert keys == sorted(
@@ -284,9 +292,9 @@ class TestSweep:
                                  ("vanilla", "combined").index(k[1]), k[2])
         )
 
-    def test_raw_csv_round_trip(self, tmp_path):
+    def test_raw_csv_round_trip(self, raw_path, tmp_path):
         cfg = tiny_config()
-        result = experiment.run_sweep(cfg)
+        result = experiment.run_sweep(cfg, raw_path)
         path = tmp_path / "results.csv"
         experiment.write_results(result, str(path))
         back = experiment.read_results_if_exists(str(path))
@@ -302,9 +310,9 @@ class TestSweep:
         header = path.read_text().splitlines()[0]
         assert header == "model,method,ratio,seed,auc,best_f1,coverage,discard_size,wall_time_s"
 
-    def test_summary_matches_recomputation(self, tmp_path):
+    def test_summary_matches_recomputation(self, raw_path, tmp_path):
         cfg = tiny_config(repetitions=3)
-        result = experiment.run_sweep(cfg)
+        result = experiment.run_sweep(cfg, raw_path)
         summary = experiment.summarize(result)
         assert len(summary) == 1 * 2 * 2  # kinds x methods x ratios
         for s in summary:
@@ -324,9 +332,9 @@ class TestSweep:
             else:
                 assert s.coverage_mean is None
 
-    def test_summary_csv_header_and_ratios(self, tmp_path):
+    def test_summary_csv_header_and_ratios(self, raw_path, tmp_path):
         cfg = tiny_config()
-        result = experiment.run_sweep(cfg)
+        result = experiment.run_sweep(cfg, raw_path)
         path = tmp_path / "summary.csv"
         experiment.write_summary(result, str(path))
         lines = path.read_text().splitlines()
@@ -350,11 +358,12 @@ class TestSweep:
         assert path.read_bytes() == full
 
     def test_resume_matches_rows_whose_ratio_text_is_rounded(self, tmp_path,
-                                                               monkeypatch):
+                                                               monkeypatch,
+                                                               raw_path):
         # results.csv stores ratios with %g: 0.123456789 is written 0.123457
         cfg = tiny_config(ratios=(0.123456789,), methods=("vanilla",))
         path = tmp_path / "results.csv"
-        result = experiment.run_sweep(cfg)
+        result = experiment.run_sweep(cfg, raw_path)
         experiment.write_results(result, str(path))
         experiment.write_summary(result, str(tmp_path / "a.csv"))
         full = path.read_bytes()
@@ -442,10 +451,11 @@ class TestSweep:
         experiment.write_results(resumed, str(path))
         assert path.read_bytes() == reference
 
-    def test_resume_recomputes_one_cell_of_a_group(self, tmp_path, monkeypatch):
+    def test_resume_recomputes_one_cell_of_a_group(self, tmp_path, monkeypatch,
+                                                  raw_path):
         cfg = tiny_config(methods=ALL_METHODS)
         path = tmp_path / "results.csv"
-        experiment.write_results(experiment.run_sweep(cfg), str(path))
+        experiment.write_results(experiment.run_sweep(cfg, raw_path), str(path))
         full = path.read_bytes()
         seed = experiment.cell_seed(cfg, "reconstruction", "m_only", 0.1, 1)
         lines = full.decode().splitlines(keepends=True)
@@ -473,7 +483,7 @@ class TestSweep:
         (("combined", "vanilla"), [110.0, 0.0]),
     ], ids=["vanilla_first", "filtering_first"])
     def test_first_cells_carry_the_shared_work(self, methods, walls,
-                                               monkeypatch):
+                                               monkeypatch, raw_path):
         """A group's first cell carries the contamination in its wall time,
         its first filtering cell the trial phase, and later cells neither:
         a clock that only the two shared steps advance reads exactly that."""
@@ -492,18 +502,18 @@ class TestSweep:
         monkeypatch.setattr(experiment, "record_trial_traces", advancing(
             experiment.record_trial_traces, 10.0))
         cfg = tiny_config(methods=methods, ratios=(0.1,), repetitions=1)
-        result = experiment.run_sweep(cfg, record_timing=True)
+        result = experiment.run_sweep(cfg, raw_path, record_timing=True)
         assert [r.method for r in result.rows] == list(methods)
         assert [r.wall_time_s for r in result.rows] == walls
 
     @pytest.mark.filterwarnings("error")
-    def test_diverged_final_fit_is_an_na_row(self, caplog):
+    def test_diverged_final_fit_is_an_na_row(self, caplog, raw_path):
         """A final fit that ends worse than it started fails its cell, for
         either model kind, and the sweep goes on."""
         cfg = tiny_config(model_kinds=models.MODEL_KINDS, methods=("vanilla",),
                           ratios=(0.0,), repetitions=1, learning_rate=1e100)
         with caplog.at_level(logging.ERROR, logger="losstrace.experiment"):
-            result = experiment.run_sweep(cfg)
+            result = experiment.run_sweep(cfg, raw_path)
         assert [(r.model, r.ok) for r in result.rows] == [
             (kind, False) for kind in models.MODEL_KINDS]
         for row in result.rows:
@@ -512,10 +522,10 @@ class TestSweep:
                 f"diverged: the best validation loss ")
             assert row.error in caplog.text
 
-    def test_resume_warns_about_unplanned_rows(self, tmp_path, caplog):
+    def test_resume_warns_about_unplanned_rows(self, tmp_path, caplog, raw_path):
         cfg = tiny_config()
         path = tmp_path / "results.csv"
-        experiment.write_results(experiment.run_sweep(cfg), str(path))
+        experiment.write_results(experiment.run_sweep(cfg, raw_path), str(path))
         full = path.read_bytes()
         # rows whose seeds no planned cell has, as in a file written when
         # seeds still depended on the method
@@ -545,8 +555,8 @@ class TestSweep:
         "report", "scores_out",
     ])
     def test_failed_write_keeps_previous_file(self, writer, tmp_path,
-                                              monkeypatch):
-        result = experiment.run_sweep(tiny_config(ratios=(0.0, 0.1)))
+                                              monkeypatch, raw_path):
+        result = experiment.run_sweep(tiny_config(ratios=(0.0, 0.1)), raw_path)
         series = data.MultivariateSeries(
             np.random.default_rng(0).normal(size=(30, 2)),
             np.tile([0, 1, 0], 10), ["a", "b"])
@@ -606,14 +616,28 @@ class TestSweep:
         assert path.read_bytes() == before
         assert os.listdir(out_dir) == ["target"]
 
-    def test_parallel_matches_serial(self):
+    def test_results_under_a_regular_file_is_a_config_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = blocker / "results.csv"
+        message = "^" + re.escape(f"cannot read {path}: ")
+        with pytest.raises(ConfigError, match=message):
+            experiment.read_results_if_exists(str(path))
+        with pytest.raises(ConfigError, match=message):
+            experiment.run_sweep(tiny_config(), str(path))
+        assert os.listdir(tmp_path) == ["file"]
+
+    def test_parallel_matches_serial(self, tmp_path):
         cfg = tiny_config(ratios=(0.0, 0.1), repetitions=1)
-        serial = experiment.run_sweep(cfg, workers=1)
-        parallel = experiment.run_sweep(cfg, workers=2)
+        serial = experiment.run_sweep(
+            cfg, str(tmp_path / "serial" / "results.csv"), workers=1)
+        parallel = experiment.run_sweep(
+            cfg, str(tmp_path / "parallel" / "results.csv"), workers=2)
         assert serial.rows == parallel.rows
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_sweep_rows_equal_cells_run_alone(self, workers, monkeypatch):
+    def test_sweep_rows_equal_cells_run_alone(self, workers, monkeypatch,
+                                              raw_path):
         cfg = tiny_config(model_kinds=("reconstruction", "prediction"),
                           methods=ALL_METHODS)
         bundle = experiment.prepare_data(cfg)
@@ -637,7 +661,7 @@ class TestSweep:
 
         monkeypatch.setattr(experiment, "record_trial_traces", counted)
         monkeypatch.setattr(filtering, "record_trial_traces", second_trial)
-        result = experiment.run_sweep(cfg, workers=workers)
+        result = experiment.run_sweep(cfg, raw_path, workers=workers)
         assert {(r.model, r.method, r.ratio, r.seed): r
                 for r in result.rows} == alone
         if workers == 1:  # one trial phase per (kind, ratio, rep) group
@@ -717,16 +741,17 @@ class TestOneBlasThread:
     """Every process that trains or scores runs BLAS on one thread, and a
     caller gets its own thread count back."""
 
-    def test_serial_sweep(self, caller_threads, monkeypatch):
+    def test_serial_sweep(self, caller_threads, monkeypatch, raw_path):
         counts = []
         probe_blas_threads(monkeypatch, counts)
-        result = experiment.run_sweep(tiny_config(), workers=1)
+        result = experiment.run_sweep(tiny_config(), raw_path, workers=1)
         assert all(r.ok for r in result.rows)
         assert len(counts) > len(result.rows) and set(counts) == {1}
         assert _blas_threads() == caller_threads
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, ToolkitError])
-    def test_serial_sweep_that_raises(self, error, caller_threads, monkeypatch):
+    def test_serial_sweep_that_raises(self, error, caller_threads, monkeypatch,
+                                      raw_path):
         def raising(*args, **kwargs):
             assert _blas_threads() == 1
             raise error("stop")
@@ -734,9 +759,9 @@ class TestOneBlasThread:
         monkeypatch.setattr(models, "train_epoch", raising)
         if error is KeyboardInterrupt:
             with pytest.raises(KeyboardInterrupt):
-                experiment.run_sweep(tiny_config(), workers=1)
+                experiment.run_sweep(tiny_config(), raw_path, workers=1)
         else:  # a cell's ToolkitError becomes its NA row
-            rows = experiment.run_sweep(tiny_config(), workers=1).rows
+            rows = experiment.run_sweep(tiny_config(), raw_path, workers=1).rows
             assert rows and not any(r.ok for r in rows)
         assert _blas_threads() == caller_threads
 
@@ -796,7 +821,8 @@ class TestPoolWorkers:
         (1, 4, []),
     ])
     def test_pool_starts_one_worker_per_pending_cell(self, workers, cells,
-                                                     started, monkeypatch):
+                                                     started, monkeypatch,
+                                                     raw_path):
         """A forking pool starts max_workers processes at the first submit,
         so max_workers follows the pending cells; each worker gets only the
         bundle."""
@@ -818,6 +844,6 @@ class TestPoolWorkers:
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
         cfg = tiny_config(methods=("vanilla",), ratios=(0.0,), repetitions=cells)
-        result = experiment.run_sweep(cfg, workers=workers)
+        result = experiment.run_sweep(cfg, raw_path, workers=workers)
         assert len(result.rows) == cells and all(r.ok for r in result.rows)
         assert seen == started
